@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"sync"
@@ -635,11 +636,12 @@ func BenchmarkAdaptiveYield(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		reps, err = yield.EvaluateManyAdaptive(mc.New(bench.Graph, 0x1F00D), 40000,
+		res, err := yield.Drive(context.Background(), yield.Local(mc.New(bench.Graph, 0x1F00D), sw), 40000,
 			yield.Precision{Eps: 0.005, Conf: 0.95}, sw)
 		if err != nil {
 			b.Fatal(err)
 		}
+		reps = res.Adaptive
 		if !reps[0].Met {
 			b.Fatal("easy point must meet ±0.005 before the cap")
 		}

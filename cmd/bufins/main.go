@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/expt"
 	"repro/internal/insertion"
 	"repro/internal/tabular"
@@ -40,7 +39,7 @@ func main() {
 	)
 	flag.Parse()
 
-	sys, err := loadSystem(*preset, *bench)
+	sys, err := loadBench(*preset, *bench)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -64,7 +63,7 @@ func main() {
 	if *topCrit > 0 {
 		tc := tabular.New("launch FF", "capture FF", "mean slack", "sigma", "P(fail)")
 		tc.SetTitle(fmt.Sprintf("%d most failure-prone register pairs at %.1f ps:", *topCrit, T))
-		for _, r := range sys.Graph().CriticalPairs(T, *topCrit) {
+		for _, r := range sys.Graph.CriticalPairs(T, *topCrit) {
 			tc.AddRowf(r.Launch, r.Capture, r.MeanSlack, r.StdSlack, fmt.Sprintf("%.4f", r.FailProb))
 		}
 		fmt.Println(tc)
@@ -79,7 +78,7 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		plan := res.Plan(sys.Name())
+		plan := res.Plan(sys.Name)
 		if err := plan.Save(f); err != nil {
 			fatalf("%v", err)
 		}
@@ -118,17 +117,17 @@ func main() {
 	}
 }
 
-func loadSystem(preset, bench string) (*core.System, error) {
+func loadBench(preset, bench string) (*expt.Bench, error) {
 	switch {
 	case preset != "":
-		return core.FromPreset(preset, expt.Options{})
+		return expt.PreparePreset(preset, expt.Options{})
 	case bench != "":
 		f, err := os.Open(bench)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
-		return core.FromBench(f, bench, expt.Options{})
+		return expt.PrepareBench(f, bench, expt.Options{})
 	default:
 		return nil, fmt.Errorf("need -preset or -bench")
 	}

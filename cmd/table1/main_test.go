@@ -6,13 +6,11 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/expt"
 	"repro/internal/gen"
 	"repro/internal/insertion"
 	"repro/internal/serve"
 	"repro/internal/shard"
-	"repro/internal/yield"
 )
 
 // tinyBench prepares a generated circuit the way expt.Prepare would but at
@@ -33,15 +31,25 @@ func tinyBench(t *testing.T) (*expt.Bench, serve.CircuitSpec, expt.Options) {
 }
 
 // TestShardedRowsByteIdentical drives the exact wiring the -workers flag
-// uses — expt.RunRows with a serve.Coordinator's InsertPass/EvalPlans over
+// uses — expt.RunRows with a serve.Coordinator's InsertPass/PlanWaves over
 // two worker daemons and uneven 7-range splits — and demands the rows
 // match the in-process run on every reported field. Runtime is wall
 // clock (the one column that legitimately differs between schedules) and
 // Insert holds in-process-only diagnostics; everything the table and CSV
 // print besides runtime comes from the compared fields.
 func TestShardedRowsByteIdentical(t *testing.T) {
+	requireShardedRowsIdentical(t, expt.RowConfig{InsertSamples: 130, EvalSamples: 300, Seed: 5})
+}
+
+// TestShardedRowsAdaptiveByteIdentical is the -workers -eps wiring: the
+// adaptive wave schedule and every estimate match the in-process rows.
+func TestShardedRowsAdaptiveByteIdentical(t *testing.T) {
+	requireShardedRowsIdentical(t, expt.RowConfig{InsertSamples: 130, EvalSamples: 2000, Seed: 5, Eps: 0.05, Conf: 0.9})
+}
+
+func requireShardedRowsIdentical(t *testing.T, rc expt.RowConfig) {
+	t.Helper()
 	b, spec, opt := tinyBench(t)
-	rc := expt.RowConfig{InsertSamples: 130, EvalSamples: 300, Seed: 5}
 	want, err := expt.RunRows(b, expt.Targets, rc)
 	if err != nil {
 		t.Fatal(err)
@@ -55,12 +63,10 @@ func TestShardedRowsByteIdentical(t *testing.T) {
 	}
 	pool := shard.NewPool(workers)
 	coord := serve.NewCoordinator(pool, 7, spec, opt,
-		core.NewSystem(b), insertion.NewRunner(b.Graph, b.Placement))
+		b, insertion.NewRunner(b.Graph, b.Placement))
 	src := rc
 	src.Pass = func(cfg insertion.Config) insertion.PassFunc { return coord.InsertPass(context.Background(), cfg) }
-	src.EvalPlans = func(plans []insertion.Plan, n int, seed uint64) ([]yield.Report, error) {
-		return coord.EvalPlans(context.Background(), plans, n, seed)
-	}
+	src.Waves = coord.PlanWaves
 	got, err := expt.RunRows(b, expt.Targets, src)
 	if err != nil {
 		t.Fatal(err)

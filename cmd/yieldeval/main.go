@@ -6,7 +6,7 @@
 //
 // All (period, strategy) queries of a run are answered from one batched
 // evaluation pass: each fresh chip is realized exactly once and handed to
-// every strategy's sweep evaluator (yield.EvaluateMany), so a 10-period ×
+// every strategy's sweep evaluator (serve.Evaluate), so a 10-period ×
 // 4-strategy sweep costs one chip population, not forty.
 //
 // With -server the preparation, insertion, and evaluation run inside a
@@ -39,7 +39,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/expt"
 	"repro/internal/insertion"
 	"repro/internal/mc"
@@ -68,7 +67,6 @@ type options struct {
 	server        string
 	workers       string
 	shards        int
-	codec         string
 
 	// Adaptive precision: eps > 0 evaluates sequentially (escalating waves,
 	// stopping once every reported yield is known to ±eps at confidence
@@ -108,7 +106,6 @@ func main() {
 	flag.StringVar(&o.server, "server", "", "bufinsd base URL: run prepare/insert/yield in the daemon instead of in-process")
 	flag.StringVar(&o.workers, "workers", "", "comma-separated shard-worker bufinsd URLs: shard the sample loops across them (coordinating from this process)")
 	flag.IntVar(&o.shards, "shards", 0, "k-ranges per sharded pass (0 = 4 per worker)")
-	flag.StringVar(&o.codec, "codec", "", "shard pass framing to workers: binary (default), json, or mixed")
 	flag.DurationVar(&o.rangeTimeout, "range-timeout", 0, "per-attempt deadline for one sharded range (0 = transport timeout only)")
 	flag.IntVar(&o.retries, "retries", 0, "worker attempts per range before in-process fallback (0 = default 4)")
 	flag.Float64Var(&o.hedge, "hedge", 0, "hedge stragglers outstanding this many multiples of the mean range latency (0 = default 3, negative disables)")
@@ -347,8 +344,8 @@ func circuitSpecOf(o options) (serve.CircuitSpec, error) {
 }
 
 type localBackend struct {
-	ctx context.Context
-	sys *core.System
+	ctx   context.Context
+	bench *expt.Bench
 	// coord shards the sample loops over worker daemons (-workers mode);
 	// nil runs everything in this process. Either way the reductions are
 	// shared code, so the output is byte-identical.
@@ -358,23 +355,23 @@ type localBackend struct {
 
 func newLocalBackend(o options) (backend, error) {
 	var (
-		sys *core.System
-		err error
+		bench *expt.Bench
+		err   error
 	)
 	if o.bench != "" {
 		f, ferr := os.Open(o.bench)
 		if ferr != nil {
 			return nil, ferr
 		}
-		sys, err = core.FromBench(f, o.bench, expt.Options{})
+		bench, err = expt.PrepareBench(f, o.bench, expt.Options{})
 		f.Close()
 	} else {
-		sys, err = core.FromPreset(o.preset, expt.Options{})
+		bench, err = expt.PreparePreset(o.preset, expt.Options{})
 	}
 	if err != nil {
 		return nil, err
 	}
-	b := &localBackend{ctx: o.ctx, sys: sys, eps: o.eps, conf: o.conf}
+	b := &localBackend{ctx: o.ctx, bench: bench, eps: o.eps, conf: o.conf}
 	if b.ctx == nil {
 		b.ctx = context.Background()
 	}
@@ -383,56 +380,41 @@ func newLocalBackend(o options) (backend, error) {
 		if err != nil {
 			return nil, err
 		}
-		codec, err := serve.ParseCodec(o.codec)
-		if err != nil {
-			return nil, err
-		}
 		b.coord = serve.NewCoordinator(
 			shard.NewPoolWith(strings.Split(o.workers, ","), o.dispatchOptions()), o.shards,
-			spec, expt.Options{}, sys,
-			insertion.NewRunner(sys.Graph(), sys.Bench().Placement))
-		b.coord.Codec = codec
+			spec, expt.Options{}, bench, insertion.NewRunner(bench.Graph, bench.Placement))
 	}
 	return b, nil
 }
 
-func (b *localBackend) summary() string                { return b.sys.Summary() }
-func (b *localBackend) targetPeriod(k float64) float64 { return b.sys.TargetPeriod(k) }
+func (b *localBackend) summary() string                { return b.bench.Summary() }
+func (b *localBackend) targetPeriod(k float64) float64 { return b.bench.TargetPeriod(k) }
 
 func (b *localBackend) insert(k float64, samples int, seed uint64) (insertion.Plan, error) {
-	T := b.sys.TargetPeriod(k)
+	T := b.bench.TargetPeriod(k)
 	// Resolve the defaults before the executor captures the configuration:
 	// the wire protocol ships exactly the values the flow runs with.
-	cfg := b.sys.ResolveInsertConfig(T, insertion.Config{Samples: samples, Seed: seed})
+	cfg := expt.InsertConfig(T, insertion.Config{Samples: samples, Seed: seed})
 	if b.coord != nil {
 		cfg.Pass = b.coord.InsertPass(b.ctx, cfg)
 	}
-	res, err := b.sys.Insert(T, cfg)
+	res, err := b.bench.Insert(T, cfg)
 	if err != nil {
 		return insertion.Plan{}, err
 	}
-	return res.Plan(b.sys.Name()), nil
+	return res.Plan(b.bench.Name), nil
 }
 
 func (b *localBackend) evaluate(queries []evalQuery, evalN int, seed uint64) ([]evalResult, error) {
-	// The expansion and batched evaluation are serve.EvaluateQueries — the
-	// exact code the daemon's /v1/yield runs — so local, sharded, and
-	// server mode cannot drift apart.
-	var (
-		results []serve.YieldResult
-		err     error
-	)
-	switch {
-	case b.eps > 0 && b.coord != nil:
-		results, err = b.coord.EvaluateQueriesAdaptive(b.ctx, evalN, seed, toServeQueries(queries), yield.Precision{Eps: b.eps, Conf: b.conf})
-	case b.eps > 0:
-		results, err = serve.EvaluateQueriesAdaptive(b.sys.Graph(), seed, evalN, toServeQueries(queries), yield.Precision{Eps: b.eps, Conf: b.conf})
-	case b.coord != nil:
-		results, err = b.coord.EvaluateQueries(b.ctx, evalN, seed, toServeQueries(queries))
-	default:
-		g := b.sys.Graph()
-		results, err = serve.EvaluateQueries(b.ctx, g, mc.New(g, seed), evalN, toServeQueries(queries))
+	// The expansion and the evaluation are serve.Evaluate — the exact code
+	// the daemon's /v1/yield runs — so local, sharded, and server mode
+	// cannot drift apart.
+	g := b.bench.Graph
+	be := serve.Local(mc.New(g, seed))
+	if b.coord != nil {
+		be = b.coord.Backend(evalN, seed)
 	}
+	results, err := serve.Evaluate(b.ctx, g, evalN, toServeQueries(queries), yield.Precision{Eps: b.eps, Conf: b.conf}, be)
 	if err != nil {
 		return nil, err
 	}
@@ -488,7 +470,7 @@ func newServerBackend(o options) (backend, error) {
 func (b *serverBackend) summary() string { return b.prep.Summary }
 
 func (b *serverBackend) targetPeriod(k float64) float64 {
-	// Same arithmetic as core.System.TargetPeriod over the exact µ/σ the
+	// Same arithmetic as expt.Bench.TargetPeriod over the exact µ/σ the
 	// daemon reported (float64 survives JSON round-trips bit-exactly).
 	return b.prep.Mu + k*b.prep.Sigma
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/ckt"
-	"repro/internal/core"
 	"repro/internal/expt"
 	"repro/internal/gen"
 	"repro/internal/insertion"
@@ -112,16 +111,16 @@ func TestServerModePlanByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := core.FromBench(f, bench, expt.Options{})
+	b, err := expt.PrepareBench(f, bench, expt.Options{})
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Insert(sys.TargetPeriod(1), insertion.Config{Samples: 120, Seed: 5})
+	res, err := b.Insert(b.TargetPeriod(1), insertion.Config{Samples: 120, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := res.Plan(sys.Name())
+	plan := res.Plan(b.Name)
 	planPath := filepath.Join(t.TempDir(), "plan.json")
 	pf, err := os.Create(planPath)
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 	"log"
 
 	"repro/internal/binning"
-	"repro/internal/core"
+	"repro/internal/expt"
 	"repro/internal/gen"
 	"repro/internal/insertion"
 	"repro/internal/mc"
@@ -18,7 +18,11 @@ import (
 )
 
 func main() {
-	sys, err := core.Generate(gen.Config{NumFFs: 60, NumGates: 360, Seed: 7}, core.Options{})
+	c, err := gen.Generate(gen.Config{NumFFs: 60, NumGates: 360, Seed: 7})
+	if err != nil {
+		log.Fatal(err)
+	}
+	sys, err := expt.Prepare(c, expt.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,13 +38,13 @@ func main() {
 	}
 	fmt.Printf("inserted %d buffers for T = %.1f ps\n\n", res.NumPhysicalBuffers(), T)
 
-	ev, err := yield.NewEvaluator(sys.Graph(), res.Cfg.Spec, res.Groups)
+	ev, err := yield.NewEvaluator(sys.Graph, res.Cfg.Spec, res.Groups)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	bins := binning.MuSigmaBins(sys.Bench().Period)
-	untuned, tuned, err := binning.Compare(sys.Graph(), ev, bins, mc.New(sys.Graph(), 0xB145), 5000)
+	bins := binning.MuSigmaBins(sys.Period)
+	untuned, tuned, err := binning.Compare(sys.Graph, ev, bins, mc.New(sys.Graph, 0xB145), 5000)
 	if err != nil {
 		log.Fatal(err)
 	}

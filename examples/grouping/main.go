@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/expt"
 	"repro/internal/gen"
 	"repro/internal/insertion"
 	"repro/internal/tabular"
@@ -18,10 +18,14 @@ import (
 func main() {
 	// A narrow locality window makes lanes of neighboring FFs share launch
 	// cones — the structure that produces correlated tuning.
-	sys, err := core.Generate(gen.Config{
+	c, err := gen.Generate(gen.Config{
 		Name: "buslike", NumFFs: 48, NumGates: 280,
 		LocalityWindow: 3, MaxSources: 3, Seed: 2026,
-	}, core.Options{})
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	sys, err := expt.Prepare(c, expt.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

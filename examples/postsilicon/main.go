@@ -9,14 +9,21 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/expt"
 	"repro/internal/gen"
 	"repro/internal/insertion"
+	"repro/internal/mc"
 	"repro/internal/tabular"
+	"repro/internal/timing"
+	"repro/internal/tuner"
 )
 
 func main() {
-	sys, err := core.Generate(gen.Config{NumFFs: 40, NumGates: 240, Seed: 99}, core.Options{})
+	c, err := gen.Generate(gen.Config{NumFFs: 40, NumGates: 240, Seed: 99})
+	if err != nil {
+		log.Fatal(err)
+	}
+	sys, err := expt.Prepare(c, expt.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -29,16 +36,16 @@ func main() {
 	}
 	fmt.Printf("design-time: %d physical buffers inserted\n\n", res.NumPhysicalBuffers())
 
-	tn, err := sys.NewTuner(res)
+	tn, err := tuner.New(sys.Graph, res.Cfg.Spec, res.Groups)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	chips := sys.SampleChips(20, 0xC41F)
+	chips := sampleChips(sys.Graph, 20, 0xC41F)
 	tb := tabular.New("chip", "passes untuned", "fate", "buffers set", "total steps")
 	tb.SetTitle("post-silicon configuration of 20 manufactured chips:")
 	for k, ch := range chips {
-		if sys.Graph().FeasibleAtZero(ch, T) {
+		if sys.Graph.FeasibleAtZero(ch, T) {
 			tb.AddRowf(k, "yes", "ships as-is", 0, 0)
 			continue
 		}
@@ -52,10 +59,20 @@ func main() {
 	fmt.Println(tb)
 
 	// Population-level cost: exact vs greedy configuration.
-	many := sys.SampleChips(500, 0xC41F)
+	many := sampleChips(sys.Graph, 500, 0xC41F)
 	exact := tn.Population(many, T, false)
 	greedy := tn.Population(many, T, true)
 	fmt.Println("configuration cost over 500 chips:")
 	fmt.Printf("  exact : %v\n", exact)
 	fmt.Printf("  greedy: %v\n", greedy)
+}
+
+// sampleChips "manufactures" n virtual chips, deterministic in seed.
+func sampleChips(g *timing.Graph, n int, seed uint64) []*timing.Chip {
+	eng := mc.New(g, seed)
+	chips := make([]*timing.Chip, n)
+	for k := range chips {
+		chips[k] = eng.Chip(k)
+	}
+	return chips
 }

@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/expt"
 	"repro/internal/gen"
 	"repro/internal/insertion"
 )
@@ -16,10 +16,11 @@ func main() {
 	// A 50-FF, 300-gate synthetic circuit with process variation and
 	// injected clock skews (the experimental setup of the paper, scaled
 	// down to run in seconds).
-	sys, err := core.Generate(
-		gen.Config{NumFFs: 50, NumGates: 300, Seed: 42},
-		core.Options{},
-	)
+	c, err := gen.Generate(gen.Config{NumFFs: 50, NumGates: 300, Seed: 42})
+	if err != nil {
+		log.Fatal(err)
+	}
+	sys, err := expt.Prepare(c, expt.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,7 +6,9 @@
 package expt
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"time"
 
 	"repro/internal/cells"
@@ -265,6 +267,73 @@ func PreparePreset(name string, opt Options) (*Bench, error) {
 	return Prepare(c, opt)
 }
 
+// PrepareBench parses an ISCAS89 .bench netlist and prepares it.
+func PrepareBench(r io.Reader, name string, opt Options) (*Bench, error) {
+	c, err := ckt.ParseBench(r, name)
+	if err != nil {
+		return nil, err
+	}
+	return Prepare(c, opt)
+}
+
+// Summary describes the bench in one line: circuit size and the clock
+// period distribution.
+func (b *Bench) Summary() string {
+	st, err := b.Circuit.ComputeStats()
+	if err != nil {
+		return b.Name
+	}
+	return fmt.Sprintf("%s: %d FFs, %d gates (depth %d), %d FF pairs; µT=%.1f ps, σT=%.1f ps",
+		b.Name, st.FFs, st.Gates, st.Depth, len(b.Graph.Pairs), b.Period.Mu, b.Period.Sigma)
+}
+
+// TargetPeriod returns µT + k·σT, the paper's Table I target grid.
+func (b *Bench) TargetPeriod(k float64) float64 {
+	return b.Period.Mu + k*b.Period.Sigma
+}
+
+// InsertConfig resolves the flow configuration for target period T:
+// cfg.T := T, and a zero sample budget or seed takes the default (2000
+// samples, seed 0xF00D). It is the one owner of these defaults — RunRows
+// resolves its rows through it — so callers that capture the
+// configuration before running (the sharded executor ships these exact
+// fields over the wire) see exactly what the flow runs with.
+func InsertConfig(T float64, cfg insertion.Config) insertion.Config {
+	cfg.T = T
+	if cfg.Samples == 0 {
+		cfg.Samples = 2000
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = 0xF00D
+	}
+	return cfg
+}
+
+// Insert runs the paper's sampling-based flow for the target period T on
+// InsertConfig's resolution of cfg; other zero fields take the flow's
+// paper defaults (τ = T/8, 20 steps, rt = 0.8, dt = 10, 0.1 % skip rule).
+func (b *Bench) Insert(T float64, cfg insertion.Config) (*insertion.Result, error) {
+	return insertion.Run(b.Graph, b.Placement, InsertConfig(T, cfg))
+}
+
+// MeasureYield evaluates original and buffered yield at period T over n
+// fresh chips (seed 0 selects 0xD1CE, a universe disjoint from the
+// insertion seed).
+func (b *Bench) MeasureYield(res *insertion.Result, T float64, n int, seed uint64) (yield.Report, error) {
+	ev, err := yield.NewEvaluator(b.Graph, res.Cfg.Spec, res.Groups)
+	if err != nil {
+		return yield.Report{}, err
+	}
+	if seed == 0 {
+		seed = 0xD1CE
+	}
+	rep, err := yield.EvaluateSweep(ev, mc.New(b.Graph, seed), n, []float64{T})
+	if err != nil {
+		return yield.Report{}, err
+	}
+	return rep.At(0), nil
+}
+
 // Target identifies one of Table I's three clock-period settings.
 type Target int
 
@@ -306,11 +375,13 @@ var Targets = []Target{MuT, MuTPlusSigma, MuTPlus2Sigma}
 
 // RowConfig sets sample budgets for one Table I row.
 type RowConfig struct {
-	// InsertSamples is |M| for the insertion flow (paper: 10 000).
+	// InsertSamples is |M| for the insertion flow (paper: 10 000; 0 takes
+	// InsertConfig's default).
 	InsertSamples int
 	// EvalSamples is the fresh-chip count for Yo/Y measurement.
 	EvalSamples int
-	// Seed for the insertion sampling universe (eval uses Seed+0x1000).
+	// Seed for the insertion sampling universe (eval uses Seed+0x1000; 0
+	// takes InsertConfig's default).
 	Seed uint64
 	// MaxBuffers optionally caps the physical buffer count.
 	MaxBuffers int
@@ -332,29 +403,69 @@ type RowConfig struct {
 	// required to be byte-identical to the in-process pass, so rows are
 	// the same either way.
 	Pass func(insertion.Config) insertion.PassFunc
-	// EvalPlans, when non-nil, measures each row's single-period yield
-	// report from its durable plan instead of the in-process shared pass
-	// (serve.Coordinator.EvalPlans shards the chip range across workers).
-	// Plans carry the same spec, groups, and target the in-process
-	// evaluators are built from, so reports are byte-identical.
+	// Waves, when non-nil, supplies the wave backend of the shared yield
+	// pass (serve.Coordinator.PlanWaves shards every wave across workers):
+	// it gets every row's durable plan, the chip cap n, the evaluation
+	// seed, and the sweeps built from those plans, in row order. Plans
+	// carry the spec, groups, and target the sweeps are built from, so the
+	// rows are byte-identical to the in-process pass — fixed or adaptive.
+	Waves func(plans []insertion.Plan, n int, seed uint64, sweeps []*yield.SweepEvaluator) yield.WaveFunc
+	// EvalPlans, when non-nil (and neither Waves nor Eps is set), measures
+	// each row's single-period yield report from its durable plan instead
+	// of the in-process pass. It answers the fixed-n pass's one full-range
+	// wave, so the reports it returns are checked and folded like any
+	// other wave.
 	EvalPlans func(plans []insertion.Plan, n int, seed uint64) ([]yield.Report, error)
-	// EvalPlansAdaptive is the distributed executor for the adaptive pass
-	// (serve.Coordinator.EvalPlansAdaptive); it is consulted instead of
-	// EvalPlans when Eps > 0. Like every other hook it must match the
-	// in-process result exactly — the wave schedule is a pure function of
-	// the merged tallies, so sharding cannot change it.
-	EvalPlansAdaptive func(plans []insertion.Plan, n int, seed uint64, prec yield.Precision) ([]yield.AdaptiveReport, error)
 }
 
 func (rc *RowConfig) fill() {
-	if rc.InsertSamples == 0 {
-		rc.InsertSamples = 2000
-	}
+	cfg := InsertConfig(0, insertion.Config{Samples: rc.InsertSamples, Seed: rc.Seed})
+	rc.InsertSamples, rc.Seed = cfg.Samples, cfg.Seed
 	if rc.EvalSamples == 0 {
 		rc.EvalSamples = 4000
 	}
-	if rc.Seed == 0 {
-		rc.Seed = 0xF00D
+}
+
+// waves picks the backend of the shared yield pass over universe seed.
+func (rc *RowConfig) waves(b *Bench, rows []Row, seed uint64, sweeps []*yield.SweepEvaluator) yield.WaveFunc {
+	plans := func() []insertion.Plan {
+		out := make([]insertion.Plan, len(rows))
+		for i := range rows {
+			out[i] = rows[i].Insert.Plan(b.Name)
+		}
+		return out
+	}
+	switch {
+	case rc.Waves != nil:
+		return rc.Waves(plans(), rc.EvalSamples, seed, sweeps)
+	case rc.EvalPlans != nil && rc.Eps <= 0:
+		return reportWaves(rc.EvalPlans, plans(), rc.EvalSamples, seed)
+	}
+	eng := mc.New(b.Graph, seed)
+	eng.Workers = rc.Workers
+	return yield.Local(eng, sweeps...)
+}
+
+// reportWaves adapts an exact-pass hook to the driver: it answers the one
+// full-range joint wave of a fixed-n pass by turning each single-period
+// report back into its two-bin tally (pass at T, never).
+func reportWaves(eval func([]insertion.Plan, int, uint64) ([]yield.Report, error), plans []insertion.Plan, n int, seed uint64) yield.WaveFunc {
+	return func(_ context.Context, lo, hi int, zeroOnly bool, strata int) ([]yield.SweepTally, error) {
+		if lo != 0 || hi != n || zeroOnly || strata != 0 {
+			return nil, fmt.Errorf("expt: EvalPlans answers only the full fixed-n pass")
+		}
+		reps, err := eval(plans, n, seed)
+		if err != nil {
+			return nil, err
+		}
+		ts := make([]yield.SweepTally, len(reps))
+		for i, r := range reps {
+			ts[i] = yield.SweepTally{
+				FirstZero:  []int{r.Original.Pass, r.Original.Total - r.Original.Pass},
+				FirstTuned: []int{r.Tuned.Pass, r.Tuned.Total - r.Tuned.Pass},
+			}
+		}
+		return ts, nil
 	}
 }
 
@@ -387,32 +498,32 @@ func RunRow(b *Bench, target Target, rc RowConfig) (Row, error) {
 	return rows[0], nil
 }
 
-// RunRows executes the flow for several period targets and then measures
-// every row's yield in one shared evaluation pass: all rows draw their
-// fresh chips from the same universe (Seed+0x1000), so the pass realizes
-// each chip exactly once and hands it to every row's evaluator. Reported
-// yields are byte-identical to running the rows separately; only the
-// repeated realization cost is gone.
+// RunRows is RunRowsContext without cancellation.
 func RunRows(b *Bench, targets []Target, rc RowConfig) ([]Row, error) {
+	return RunRowsContext(context.Background(), b, targets, rc)
+}
+
+// RunRowsContext executes the flow for several period targets and then
+// measures every row's yield in one shared evaluation pass (yield.Drive on
+// the backend RowConfig selects): all rows draw their fresh chips from the
+// same universe (Seed+0x1000), so the pass realizes each chip exactly once
+// and hands it to every row's evaluator. Reported yields are
+// byte-identical to running the rows separately; only the repeated
+// realization cost is gone. ctx bounds the yield pass (the Pass hook binds
+// its own).
+func RunRowsContext(ctx context.Context, b *Bench, targets []Target, rc RowConfig) ([]Row, error) {
 	rc.fill()
-	// remote marks the evaluation pass that will actually answer this run:
-	// the adaptive hook only applies under Eps, the exact hook only without.
-	remote := rc.EvalPlans != nil
-	if rc.Eps > 0 {
-		remote = rc.EvalPlansAdaptive != nil
-	}
 	rows := make([]Row, len(targets))
 	sweeps := make([]*yield.SweepEvaluator, len(targets))
 	for i, target := range targets {
 		T := b.PeriodFor(target)
 		start := time.Now()
-		cfg := insertion.Config{
-			T:          T,
+		cfg := InsertConfig(T, insertion.Config{
 			Samples:    rc.InsertSamples,
 			Seed:       rc.Seed,
 			MaxBuffers: rc.MaxBuffers,
 			Workers:    rc.Workers,
-		}
+		})
 		if rc.Pass != nil {
 			// The executor captures the configuration before Pass is set —
 			// it ships exactly the fields the wire protocol keys on.
@@ -423,14 +534,12 @@ func RunRows(b *Bench, targets []Target, rc RowConfig) ([]Row, error) {
 			return nil, fmt.Errorf("expt: insertion on %s@%v: %w", b.Name, target, err)
 		}
 		elapsed := time.Since(start)
-		if !remote {
-			ev, err := yield.NewEvaluator(b.Graph, res.Cfg.Spec, res.Groups)
-			if err != nil {
-				return nil, err
-			}
-			if sweeps[i], err = yield.NewSweepEvaluator(ev, []float64{T}); err != nil {
-				return nil, err
-			}
+		ev, err := yield.NewEvaluator(b.Graph, res.Cfg.Spec, res.Groups)
+		if err != nil {
+			return nil, err
+		}
+		if sweeps[i], err = yield.NewSweepEvaluator(ev, []float64{T}); err != nil {
+			return nil, err
 		}
 		rows[i] = Row{
 			Circuit: b.Name,
@@ -444,54 +553,22 @@ func RunRows(b *Bench, targets []Target, rc RowConfig) ([]Row, error) {
 			Insert:  res,
 		}
 	}
-	if rc.Eps > 0 {
-		prec := yield.Precision{Eps: rc.Eps, Conf: rc.Conf}
-		var (
-			reps []yield.AdaptiveReport
-			err  error
-		)
-		if remote {
-			plans := make([]insertion.Plan, len(rows))
-			for i := range rows {
-				plans[i] = rows[i].Insert.Plan(b.Name)
-			}
-			reps, err = rc.EvalPlansAdaptive(plans, rc.EvalSamples, rc.Seed+0x1000, prec)
-		} else {
-			eng := mc.New(b.Graph, rc.Seed+0x1000)
-			eng.Workers = rc.Workers
-			reps, err = yield.EvaluateManyAdaptive(eng, rc.EvalSamples, prec, sweeps...)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("expt: adaptive yield evaluation on %s: %w", b.Name, err)
-		}
-		for i := range rows {
-			rows[i].Yo = reps[i].Original[0].Estimate * 100
-			rows[i].Y = reps[i].Tuned[0].Estimate * 100
+	seed := rc.Seed + 0x1000
+	prec := yield.Precision{Eps: rc.Eps, Conf: rc.Conf}
+	res, err := yield.Drive(ctx, rc.waves(b, rows, seed, sweeps), rc.EvalSamples, prec, sweeps...)
+	if err != nil {
+		return nil, fmt.Errorf("expt: yield evaluation on %s: %w", b.Name, err)
+	}
+	for i := range rows {
+		if prec.Active() {
+			rep := res.Adaptive[i]
+			rows[i].Yo = rep.Original[0].Estimate * 100
+			rows[i].Y = rep.Tuned[0].Estimate * 100
 			rows[i].Yi = rows[i].Y - rows[i].Yo
-			rows[i].Adaptive = &reps[i]
+			rows[i].Adaptive = &rep
+			continue
 		}
-		return rows, nil
-	}
-	var reports []yield.Report
-	if rc.EvalPlans != nil {
-		// Sharded evaluation: every row's plan carries the exact spec,
-		// groups, and target its in-process evaluator would be built from.
-		plans := make([]insertion.Plan, len(rows))
-		for i := range rows {
-			plans[i] = rows[i].Insert.Plan(b.Name)
-		}
-		var err error
-		if reports, err = rc.EvalPlans(plans, rc.EvalSamples, rc.Seed+0x1000); err != nil {
-			return nil, fmt.Errorf("expt: sharded yield evaluation on %s: %w", b.Name, err)
-		}
-	} else {
-		eng := mc.New(b.Graph, rc.Seed+0x1000)
-		eng.Workers = rc.Workers
-		for _, srep := range yield.EvaluateMany(eng, rc.EvalSamples, sweeps...) {
-			reports = append(reports, srep.At(0))
-		}
-	}
-	for i, rep := range reports {
+		rep := res.Reports[i].At(0)
 		rows[i].Yo = rep.Original.Percent()
 		rows[i].Y = rep.Tuned.Percent()
 		rows[i].Yi = rep.Improvement()

@@ -234,7 +234,7 @@ func TestRunRowsSharedEvalMatchesRunRow(t *testing.T) {
 // TestRunRowsAdaptive: Eps switches the shared yield pass to sequential
 // evaluation — rows carry the adaptive report instead of the exact one, the
 // estimates agree with a fixed-n run to within the reported interval, and
-// remote runs consult the adaptive hook (never the exact EvalPlans hook).
+// remote runs consult the wave backend (never the exact EvalPlans hook).
 func TestRunRowsAdaptive(t *testing.T) {
 	b := smallBench(t)
 	rc := RowConfig{InsertSamples: 150, EvalSamples: 2000, Seed: 3}
@@ -274,25 +274,25 @@ func TestRunRowsAdaptive(t *testing.T) {
 		}
 	}
 
-	// Hook dispatch: under Eps only the adaptive executor runs, and it
+	// Hook dispatch: under Eps only the wave backend runs, and it
 	// reproduces the in-process wave loop exactly (same tallies, same
 	// schedule).
 	rc.EvalPlans = func([]insertion.Plan, int, uint64) ([]yield.Report, error) {
 		t.Error("exact EvalPlans hook consulted under Eps")
 		return nil, fmt.Errorf("wrong hook")
 	}
-	rc.EvalPlansAdaptive = func(plans []insertion.Plan, n int, seed uint64, prec yield.Precision) ([]yield.AdaptiveReport, error) {
+	rc.Waves = func(plans []insertion.Plan, n int, seed uint64, _ []*yield.SweepEvaluator) yield.WaveFunc {
 		sweeps := make([]*yield.SweepEvaluator, len(plans))
 		for i, p := range plans {
 			ev, err := yield.NewEvaluator(b.Graph, p.Spec, p.Groups)
 			if err != nil {
-				return nil, err
+				t.Fatal(err)
 			}
 			if sweeps[i], err = yield.NewSweepEvaluator(ev, []float64{p.T}); err != nil {
-				return nil, err
+				t.Fatal(err)
 			}
 		}
-		return yield.EvaluateManyAdaptive(mc.New(b.Graph, seed), n, prec, sweeps...)
+		return yield.Local(mc.New(b.Graph, seed), sweeps...)
 	}
 	hooked, err := RunRows(b, Targets, rc)
 	if err != nil {

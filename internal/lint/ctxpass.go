@@ -32,6 +32,7 @@ var batchLoopCallees = map[string]bool{
 	"TallyRangeZero":    true,
 	"EvaluateSweep":     true,
 	"EvaluateMany":      true,
+	"Drive":             true,
 }
 
 func runCtxPass(pass *analysis.Pass) error {

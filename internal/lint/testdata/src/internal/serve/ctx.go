@@ -41,6 +41,14 @@ func EvaluateCancellable(ctx context.Context, b Batcher, n int) (int, error) {
 	return total, ctx.Err()
 }
 
+// Drive mimics the yield driver, a batch-loop callee by name.
+func Drive(n int) int { return n }
+
+// EvaluateDriven drives the yield loop with no context: flagged.
+func EvaluateDriven(n int) int { // want `loops over sample batches \(Drive\) but accepts no context\.Context`
+	return Drive(n)
+}
+
 // ServeBatch derives its context from the request: clean.
 func ServeBatch(w http.ResponseWriter, r *http.Request, b Batcher) {
 	ctx := r.Context()

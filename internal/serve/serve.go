@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/baseline"
-	"repro/internal/core"
 	"repro/internal/expt"
 	"repro/internal/insertion"
 	"repro/internal/mc"
@@ -58,12 +57,6 @@ type Config struct {
 	// retries, breakers, hedging); the zero value selects shard.Options'
 	// defaults.
 	Dispatch shard.Options
-	// Codec selects the wire codec the coordinator speaks on /v1/shard/*
-	// when Workers is set: CodecBinary (the default), CodecJSON (the
-	// debug/compat surface), or CodecMixed (alternate per worker). It
-	// steers outbound framing only — every server answers both codecs,
-	// negotiated per request via Content-Type/Accept.
-	Codec string
 	// StoreDir, when set, backs the prepared-bench LRU with a persistent
 	// content-addressed snapshot store in that directory: first prepares
 	// write a checksummed snapshot, and a restarted server re-attaches in
@@ -99,9 +92,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 16 << 20
-	}
-	if c.Codec == "" {
-		c.Codec = CodecBinary
 	}
 }
 
@@ -188,7 +178,7 @@ type benchEntry struct {
 	once sync.Once
 
 	// Set by the once; read-only afterwards.
-	sys       *core.System
+	bench     *expt.Bench
 	runner    *insertion.Runner
 	err       error
 	elapsedMS int64
@@ -374,7 +364,7 @@ func (s *Server) getBench(spec CircuitSpec, opt expt.Options) (*benchEntry, bool
 			e.err = fmt.Errorf("preparing %s: %w", key, err)
 			return
 		}
-		e.sys = core.NewSystem(b)
+		e.bench = b
 		e.runner = insertion.NewRunner(b.Graph, b.Placement)
 	})
 	if e.err != nil {
@@ -385,13 +375,14 @@ func (s *Server) getBench(spec CircuitSpec, opt expt.Options) (*benchEntry, bool
 	return e, hit, nil
 }
 
-// chipSource returns the evaluation sample source for (seed, n): a cached
-// shared population when it fits the budget, the streaming engine
-// otherwise. Replay and streaming are byte-identical by construction.
-func (s *Server) chipSource(e *benchEntry, seed uint64, n int) mc.Source {
-	g := e.sys.Graph()
-	eng := mc.New(g, seed)
-	if eng.PopulationBytes(n) > int64(s.cfg.MaxPopulationMB)<<20 {
+// chipSource returns the plain chip universe (seed, n) of an in-process
+// yield request: a cached shared population when the request is fixed-n
+// and the population fits the budget, the streaming engine otherwise.
+// Replay and streaming are byte-identical by construction; adaptive waves
+// stratify a copy of the engine, a universe the cache never holds.
+func (s *Server) chipSource(e *benchEntry, seed uint64, n int, adaptive bool) mc.Source {
+	eng := mc.New(e.bench.Graph, seed)
+	if adaptive || eng.PopulationBytes(n) > int64(s.cfg.MaxPopulationMB)<<20 {
 		return eng
 	}
 	key := fmt.Sprintf("%d:%d", seed, n)
@@ -419,11 +410,11 @@ func (s *Server) handlePrepare(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := e.sys.Bench()
+	b := e.bench
 	resp := &PrepareResponse{
 		Key:          e.key,
 		Name:         b.Name,
-		Summary:      e.sys.Summary(),
+		Summary:      b.Summary(),
 		NS:           b.Graph.NS,
 		NG:           b.Circuit.NumGates(),
 		Mu:           b.Period.Mu,
@@ -457,7 +448,7 @@ func resolveT(e *benchEntry, period, targetK *float64) (float64, error) {
 	case period != nil && targetK == nil:
 		return *period, nil
 	case targetK != nil && period == nil:
-		return e.sys.TargetPeriod(*targetK), nil
+		return e.bench.TargetPeriod(*targetK), nil
 	}
 	return 0, badRequest("need exactly one of period_ps, target_k")
 }
@@ -529,7 +520,7 @@ func (s *Server) handleInsert(r *http.Request) (any, error) {
 		}
 		st := res.Stats
 		pe.resp = &InsertResponse{
-			Plan: res.Plan(e.sys.Name()),
+			Plan: res.Plan(e.bench.Name),
 			T:    T,
 			Nb:   res.NumPhysicalBuffers(),
 			Ab:   res.AvgRangeSteps(),
@@ -569,32 +560,21 @@ func (s *Server) handleYield(r *http.Request) (any, error) {
 		return nil, err
 	}
 	start := time.Now()
-	var results []YieldResult
-	switch {
-	case req.Eps > 0:
-		// Adaptive: escalating waves until every threshold reaches ±eps at
-		// conf. The stratified wave universe differs from the fixed-n one,
-		// so this path never touches the population cache; the wave
-		// schedule is identical sharded and in-process.
-		prec := yield.Precision{Eps: req.Eps, Conf: req.Conf}
-		if s.pool != nil {
-			results, err = s.coordinator(req.Circuit, req.Options, e).EvaluateQueriesAdaptive(r.Context(), req.EvalSamples, req.Seed, req.Queries, prec)
-		} else {
-			results, err = EvaluateQueriesAdaptive(e.sys.Graph(), req.Seed, req.EvalSamples, req.Queries, prec)
-		}
-		if err == nil {
-			s.recordAdaptive(req.EvalSamples, results)
-		}
-	case s.pool != nil:
-		// Sharded: tile the chip range across the worker pool and merge the
-		// per-sweep tallies (byte-identical to the in-process pass).
-		results, err = s.coordinator(req.Circuit, req.Options, e).EvaluateQueries(r.Context(), req.EvalSamples, req.Seed, req.Queries)
-	default:
-		src := s.chipSource(e, req.Seed, req.EvalSamples)
-		results, err = EvaluateQueries(r.Context(), e.sys.Graph(), src, req.EvalSamples, req.Queries)
+	// Sharded or in-process, fixed-n or adaptive: one driver answers. The
+	// wave schedule is identical on both backends.
+	prec := yield.Precision{Eps: req.Eps, Conf: req.Conf}
+	var be Backend
+	if s.pool != nil {
+		be = s.coordinator(req.Circuit, req.Options, e).Backend(req.EvalSamples, req.Seed)
+	} else {
+		be = Local(s.chipSource(e, req.Seed, req.EvalSamples, prec.Active()))
 	}
+	results, err := Evaluate(r.Context(), e.bench.Graph, req.EvalSamples, req.Queries, prec, be)
 	if err != nil {
 		return nil, asClientError(err)
+	}
+	if prec.Active() {
+		s.recordAdaptive(req.EvalSamples, results)
 	}
 	return &YieldResponse{
 		Results:   results,
@@ -613,24 +593,63 @@ func asClientError(err error) error {
 	return badRequest("%v", err)
 }
 
-// EvaluateQueries expands every query into its named sweeps (the plan
-// alone, or the baseline.Strategies comparison set around it) and answers
-// the whole batch from one shared realization pass (yield.EvaluateMany) —
-// n chips are realized once in total, not once per (query, strategy,
-// period). It is the single evaluation path shared by the /v1/yield
-// handler and the CLIs' in-process mode, which is what keeps their
-// outputs byte-identical by construction. Errors are client errors
-// (malformed plans, unsorted sweeps).
-func EvaluateQueries(ctx context.Context, g *timing.Graph, src mc.Source, n int, queries []YieldQuery) ([]YieldResult, error) {
+// Backend builds the wave backend (see yield.Drive) of one expanded
+// query batch: the queries as received, and their flattened sweeps.
+type Backend func(queries []YieldQuery, sweeps []*yield.SweepEvaluator) yield.WaveFunc
+
+// Local is the in-process backend over src, the batch's plain chip
+// universe (an engine, or a cached population for a fixed-n batch;
+// adaptive batches need the engine, whose stratified copies they stream).
+func Local(src mc.Source) Backend {
+	return func(_ []YieldQuery, sweeps []*yield.SweepEvaluator) yield.WaveFunc {
+		return yield.Local(src, sweeps...)
+	}
+}
+
+// Evaluate answers a yield query batch: every query expands into its
+// named sweeps (the plan alone, or the baseline.Strategies comparison set
+// around it), and the whole batch is one yield.Drive call over the
+// backend's waves — n chips (fixed-n) or at most n (adaptive, under prec)
+// realized once in total, not once per (query, strategy, period). It is
+// the single evaluation path of the /v1/yield handler and the CLIs'
+// in-process and -workers modes, which is what keeps their outputs
+// byte-identical by construction. Errors are client errors (malformed
+// plans, unsorted sweeps, invalid precision) unless ctx ended.
+func Evaluate(ctx context.Context, g *timing.Graph, n int, queries []YieldQuery, prec yield.Precision, be Backend) ([]YieldResult, error) {
 	results, sweeps, err := expandQueries(g, queries)
 	if err != nil {
 		return nil, err
 	}
-	reports := yield.EvaluateMany(ctxSource{ctx: ctx, src: src}, n, sweeps...)
-	if err := ctx.Err(); err != nil {
-		return nil, err // samples after the cancellation point never ran
+	res, err := yield.Drive(ctx, be(queries, sweeps), n, prec, sweeps...)
+	if err != nil {
+		return nil, err
 	}
-	return foldReports(results, reports), nil
+	i := 0
+	for qi := range results {
+		for range results[qi].Names {
+			if prec.Active() {
+				results[qi].Adaptive = append(results[qi].Adaptive, res.Adaptive[i])
+			} else {
+				results[qi].Reports = append(results[qi].Reports, res.Reports[i])
+			}
+			i++
+		}
+	}
+	return results, nil
+}
+
+// EvaluateQueries is Evaluate's fixed-n pass over n chips of src,
+// in-process.
+func EvaluateQueries(ctx context.Context, g *timing.Graph, src mc.Source, n int, queries []YieldQuery) ([]YieldResult, error) {
+	return Evaluate(ctx, g, n, queries, yield.Precision{}, Local(src))
+}
+
+// EvaluateQueriesAdaptive is Evaluate's adaptive pass over universe seed,
+// in-process and without cancellation: the whole batch shares one wave
+// loop, so the rule stops only when every threshold of every query is
+// within prec.Eps (or n chips are spent).
+func EvaluateQueriesAdaptive(g *timing.Graph, seed uint64, n int, queries []YieldQuery, prec yield.Precision) ([]YieldResult, error) {
+	return Evaluate(context.Background(), g, n, queries, prec, Local(mc.New(g, seed)))
 }
 
 // expandQueries validates every query and expands it into its named sweep
@@ -667,49 +686,6 @@ func expandQueries(g *timing.Graph, queries []YieldQuery) ([]YieldResult, []*yie
 		}
 	}
 	return results, sweeps, nil
-}
-
-// foldReports distributes the flat sweep reports back onto the per-query
-// results in expansion order.
-func foldReports(results []YieldResult, reports []yield.SweepReport) []YieldResult {
-	i := 0
-	for qi := range results {
-		for range results[qi].Names {
-			results[qi].Reports = append(results[qi].Reports, reports[i])
-			i++
-		}
-	}
-	return results
-}
-
-// EvaluateQueriesAdaptive is the adaptive counterpart of EvaluateQueries:
-// the whole batch shares one wave loop (every sweep sees every wave), so
-// the rule stops only when every threshold of every query is within eps.
-// It streams from a fresh engine — the stratified adaptive universe is
-// distinct from the cached fixed-n populations.
-func EvaluateQueriesAdaptive(g *timing.Graph, seed uint64, n int, queries []YieldQuery, prec yield.Precision) ([]YieldResult, error) {
-	results, sweeps, err := expandQueries(g, queries)
-	if err != nil {
-		return nil, err
-	}
-	reports, err := yield.EvaluateManyAdaptive(mc.New(g, seed), n, prec, sweeps...)
-	if err != nil {
-		return nil, err
-	}
-	return foldAdaptive(results, reports), nil
-}
-
-// foldAdaptive distributes the flat adaptive reports back onto the
-// per-query results in expansion order.
-func foldAdaptive(results []YieldResult, reports []yield.AdaptiveReport) []YieldResult {
-	i := 0
-	for qi := range results {
-		for range results[qi].Names {
-			results[qi].Adaptive = append(results[qi].Adaptive, reports[i])
-			i++
-		}
-	}
-	return results
 }
 
 // recordAdaptive accounts one adaptive yield request. The batch shares a

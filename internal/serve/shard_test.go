@@ -18,6 +18,7 @@ import (
 	"repro/internal/insertion"
 	"repro/internal/shard"
 	"repro/internal/shard/chaos"
+	"repro/internal/shard/wire"
 
 	"repro/internal/leakcheck"
 )
@@ -115,48 +116,46 @@ func TestShardedByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestShardedByteIdenticalAcrossCodecs is the codec matrix: JSON, binary,
-// and mixed (per-worker alternating) framing must all merge to the same
-// bytes as the plain in-process server over uneven tilings — the codec is
-// pure transport, invisible in every merged result.
+// TestShardedByteIdenticalAcrossCodecs: the binary shard codec merges to
+// the same bytes as the plain in-process server over every tiling of one
+// and two workers, uneven splits included — the codec is pure transport,
+// invisible in every merged result.
 func TestShardedByteIdenticalAcrossCodecs(t *testing.T) {
 	_, plain := newTestServer(t)
 	wantPlan, wantStats, wantResults := insertYield(t, plain)
 	wj, _ := json.Marshal(wantPlan)
 	workers := startWorkers(t, 2)
-	for _, codec := range []string{CodecJSON, CodecBinary, CodecMixed} {
-		for _, tc := range []struct {
-			workers []string
-			shards  int
-		}{
-			{workers[:1], 1},
-			{workers[:1], 2},
-			{workers[:1], 7},
-			{workers, 1},
-			{workers, 2},
-			{workers, 7},
-		} {
-			s := New(Config{Workers: tc.workers, Shards: tc.shards, Codec: codec})
-			ts := httptest.NewServer(s.Handler())
-			gotPlan, gotStats, gotResults := insertYield(t, NewClient(ts.URL))
-			gj, _ := json.Marshal(gotPlan)
-			if string(wj) != string(gj) {
-				t.Fatalf("%s, %dw×%ds: plan diverges:\n got %s\nwant %s", codec, len(tc.workers), tc.shards, gj, wj)
-			}
-			if gotStats != wantStats {
-				t.Fatalf("%s, %dw×%ds: stats diverge: got %+v want %+v", codec, len(tc.workers), tc.shards, gotStats, wantStats)
-			}
-			if gotResults != wantResults {
-				t.Fatalf("%s, %dw×%ds: yield results diverge", codec, len(tc.workers), tc.shards)
-			}
-			if s.Pool().C.Dispatched.Load() == 0 {
-				t.Fatalf("%s, %dw×%ds: no ranges dispatched to workers", codec, len(tc.workers), tc.shards)
-			}
-			if s.Pool().C.Local.Load() != 0 {
-				t.Fatalf("%s, %dw×%ds: healthy pool fell back to local execution", codec, len(tc.workers), tc.shards)
-			}
-			ts.Close()
+	for _, tc := range []struct {
+		workers []string
+		shards  int
+	}{
+		{workers[:1], 1},
+		{workers[:1], 2},
+		{workers[:1], 7},
+		{workers, 1},
+		{workers, 2},
+		{workers, 7},
+	} {
+		s := New(Config{Workers: tc.workers, Shards: tc.shards})
+		ts := httptest.NewServer(s.Handler())
+		gotPlan, gotStats, gotResults := insertYield(t, NewClient(ts.URL))
+		gj, _ := json.Marshal(gotPlan)
+		if string(wj) != string(gj) {
+			t.Fatalf("%dw×%ds: plan diverges:\n got %s\nwant %s", len(tc.workers), tc.shards, gj, wj)
 		}
+		if gotStats != wantStats {
+			t.Fatalf("%dw×%ds: stats diverge: got %+v want %+v", len(tc.workers), tc.shards, gotStats, wantStats)
+		}
+		if gotResults != wantResults {
+			t.Fatalf("%dw×%ds: yield results diverge", len(tc.workers), tc.shards)
+		}
+		if s.Pool().C.Dispatched.Load() == 0 {
+			t.Fatalf("%dw×%ds: no ranges dispatched to workers", len(tc.workers), tc.shards)
+		}
+		if s.Pool().C.Local.Load() != 0 {
+			t.Fatalf("%dw×%ds: healthy pool fell back to local execution", len(tc.workers), tc.shards)
+		}
+		ts.Close()
 	}
 }
 
@@ -191,7 +190,7 @@ func flakyWorker(t *testing.T, target string, succeed int64) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header = r.Header.Clone() // codec negotiation rides on Content-Type/Accept
+		req.Header = r.Header.Clone() // the binary frame's Content-Type must survive the proxy
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -267,11 +266,22 @@ func TestShardPassEndpointsValidate(t *testing.T) {
 	_, cl := newTestServer(t)
 	post := func(path string, req any) int {
 		t.Helper()
-		body, err := json.Marshal(req)
+		// Frame the request the way the coordinator does: the JSON header
+		// with a zero Range, the range travelling natively beside it.
+		var rng shard.Range
+		switch r := req.(type) {
+		case InsertPassRequest:
+			rng, r.Range = r.Range, shard.Range{}
+			req = r
+		case YieldPassRequest:
+			rng, r.Range = r.Range, shard.Range{}
+			req = r
+		}
+		header, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := cl.HTTP.Post(cl.Base+path, "application/json", strings.NewReader(string(body)))
+		resp, err := cl.HTTP.Post(cl.Base+path, wire.ContentType, bytes.NewReader(appendPassRequest(nil, header, rng)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/expt"
 	"repro/internal/insertion"
 	"repro/internal/mc"
@@ -20,14 +19,15 @@ import (
 )
 
 // This file is both halves of the sharded sample loop over the service's
-// HTTP/JSON surface:
+// binary /v1/shard/* surface:
 //
 //   - the worker half: /v1/shard/insert-pass and /v1/shard/yield-pass
 //     handlers that execute one contiguous k-range against the worker's
 //     warm prepared-bench LRU and return k-indexed partials;
-//   - the coordinator half: Coordinator, which tiles [0, n) into ranges,
-//     dispatches them over a shard.Pool, merges the partials, and hands
-//     the flow an in-process-identical view.
+//   - the coordinator half: Coordinator, which tiles a pass (or one yield
+//     wave) into ranges, dispatches them over a shard.Pool, checks and
+//     merges the partials, and hands the flow and the yield driver an
+//     in-process-identical view.
 //
 // Byte identity rests on two contracts: chip k is deterministic in
 // (Seed, k) (mc), and every partial is either k-indexed (insert outcomes)
@@ -45,9 +45,8 @@ const (
 	yieldPassPath  = "/v1/shard/yield-pass"
 )
 
-// insertPass executes one contiguous k-range of an insertion pass; the
-// codec-negotiating passHandler decodes req from either framing.
-func (s *Server) insertPass(r *http.Request, req InsertPassRequest) (any, error) {
+// insertPass executes one contiguous k-range of an insertion pass.
+func (s *Server) insertPass(r *http.Request, req InsertPassRequest) (*InsertPassResponse, error) {
 	if req.Samples <= 0 {
 		return nil, badRequest("need samples > 0")
 	}
@@ -81,9 +80,10 @@ func (s *Server) insertPass(r *http.Request, req InsertPassRequest) (any, error)
 	}, nil
 }
 
-// yieldPass tallies one contiguous chip range of a yield sweep batch;
-// the codec-negotiating passHandler decodes req from either framing.
-func (s *Server) yieldPass(r *http.Request, req YieldPassRequest) (any, error) {
+// yieldPass tallies one contiguous chip range of a yield sweep batch: one
+// wave range of the in-process backend, run against the worker's warm
+// bench.
+func (s *Server) yieldPass(r *http.Request, req YieldPassRequest) (*YieldPassResponse, error) {
 	if req.EvalSamples <= 0 {
 		return nil, badRequest("need eval_samples > 0")
 	}
@@ -105,20 +105,12 @@ func (s *Server) yieldPass(r *http.Request, req YieldPassRequest) (any, error) {
 	start := time.Now()
 	// Stream the range from the engine: a worker touches only its slice of
 	// the universe, so materializing the full (seed, n) population here
-	// would defeat the point of sharding it. The ctx guard lets a cancelled
-	// coordinator attempt — including an adaptive tail wave whose precision
-	// was met elsewhere — release the worker's CPU mid-range. Strata selects
-	// the stratified adaptive universe (0 = the plain fixed-n one).
-	eng := mc.New(e.sys.Graph(), req.Seed)
-	eng.Stratify = req.Strata
-	src := ctxSource{ctx: r.Context(), src: eng}
-	var tallies []yield.SweepTally
-	if req.ZeroOnly {
-		tallies = yield.TallyRangeZero(src, req.Range.Lo, req.Range.Hi, sweeps...)
-	} else {
-		tallies = yield.TallyRange(src, req.Range.Lo, req.Range.Hi, sweeps...)
-	}
-	if err := r.Context().Err(); err != nil {
+	// would defeat the point of sharding it. The backend's ctx guard lets a
+	// cancelled coordinator attempt — including an adaptive tail wave whose
+	// precision was met elsewhere — release the worker's CPU mid-range.
+	wave := yield.Local(mc.New(e.bench.Graph, req.Seed), sweeps...)
+	tallies, err := wave(r.Context(), req.Range.Lo, req.Range.Hi, req.ZeroOnly, req.Strata)
+	if err != nil {
 		return nil, err // partial tallies must not go on the wire
 	}
 	return &YieldPassResponse{
@@ -126,34 +118,6 @@ func (s *Server) yieldPass(r *http.Request, req YieldPassRequest) (any, error) {
 		//lint:ignore contract:determinism ElapsedMS is latency accounting; the merged tallies are unaffected
 		ElapsedMS: time.Since(start).Milliseconds(),
 	}, nil
-}
-
-// ctxSource threads cancellation into an mc.Source pass: once ctx ends,
-// the remaining samples skip their realization/consumer work (the dominant
-// cost) so the pass returns promptly. The caller must treat the pass
-// output as garbage when ctx ended — samples after the cancellation point
-// never ran.
-type ctxSource struct {
-	ctx context.Context
-	src mc.Source
-}
-
-func (s ctxSource) ForEachBatch(n int, fns ...func(k int, ch *timing.Chip)) {
-	s.ForEachRangeBatch(0, n, fns...)
-}
-
-func (s ctxSource) ForEachRangeBatch(lo, hi int, fns ...func(k int, ch *timing.Chip)) {
-	guarded := make([]func(k int, ch *timing.Chip), len(fns))
-	for i, fn := range fns {
-		fn := fn
-		guarded[i] = func(k int, ch *timing.Chip) {
-			if s.ctx.Err() != nil {
-				return
-			}
-			fn(k, ch)
-		}
-	}
-	s.src.ForEachRangeBatch(lo, hi, guarded...)
 }
 
 // sweepsFor expands a query batch into its sweep evaluators through the
@@ -175,7 +139,7 @@ func (s *Server) sweepsFor(e *benchEntry, queries []YieldQuery) ([]*yield.SweepE
 	if ok {
 		return cached.([]*yield.SweepEvaluator), nil
 	}
-	_, sweeps, err := expandQueries(e.sys.Graph(), queries)
+	_, sweeps, err := expandQueries(e.bench.Graph, queries)
 	if err != nil {
 		return nil, err
 	}
@@ -202,26 +166,21 @@ type Coordinator struct {
 	// Circuit and Options identify the prepared bench on the workers.
 	Circuit CircuitSpec
 	Options expt.Options
-	// Codec selects the wire framing for dispatched passes: CodecBinary
-	// (also the zero value's meaning), CodecJSON, or CodecMixed
-	// (alternate per worker). Responses decode by their Content-Type, so
-	// any mix of framings merges into byte-identical results.
-	Codec string
 
 	g      *timing.Graph
 	runner *insertion.Runner
 }
 
-// NewCoordinator builds a coordinator for a locally prepared system. The
-// runner backs the in-process fallback; passing the system's existing
+// NewCoordinator builds a coordinator for a locally prepared bench. The
+// runner backs the in-process fallback; passing the bench's existing
 // runner (as the server does) shares its warm solver pool.
-func NewCoordinator(pool *shard.Pool, shards int, spec CircuitSpec, opt expt.Options, sys *core.System, runner *insertion.Runner) *Coordinator {
+func NewCoordinator(pool *shard.Pool, shards int, spec CircuitSpec, opt expt.Options, b *expt.Bench, runner *insertion.Runner) *Coordinator {
 	return &Coordinator{
 		Pool:    pool,
 		Shards:  shards,
 		Circuit: spec,
 		Options: opt,
-		g:       sys.Graph(),
+		g:       b.Graph,
 		runner:  runner,
 	}
 }
@@ -229,112 +188,13 @@ func NewCoordinator(pool *shard.Pool, shards int, spec CircuitSpec, opt expt.Opt
 // coordinator builds the Server's per-request coordinator around a cached
 // bench entry (sharing its warm runner for the local fallback).
 func (s *Server) coordinator(spec CircuitSpec, opt expt.Options, e *benchEntry) *Coordinator {
-	return &Coordinator{
-		Pool:    s.pool,
-		Shards:  s.cfg.Shards,
-		Circuit: spec,
-		Options: opt,
-		Codec:   s.cfg.Codec,
-		g:       e.sys.Graph(),
-		runner:  e.runner,
-	}
+	return NewCoordinator(s.pool, s.cfg.Shards, spec, opt, e.bench, e.runner)
 }
 
-// codecFor picks the request framing for one worker: the coordinator's
-// configured codec, with CodecMixed alternating by pool position (even
-// index binary, odd JSON).
-func (c *Coordinator) codecFor(w *shard.Worker) string {
-	switch c.Codec {
-	case CodecJSON:
-		return CodecJSON
-	case CodecMixed:
-		for i, wk := range c.Pool.Workers() {
-			if wk == w {
-				if i%2 == 1 {
-					return CodecJSON
-				}
-				break
-			}
-		}
-	}
-	return CodecBinary
-}
-
-// postInsertPass sends one insert-pass range to w in the coordinator's
-// codec and decodes the response by its Content-Type. req must carry a
-// zero Range (the frame, or a copy, carries r); header is req's JSON
-// form, marshaled once per pass and shared by every range. A response
-// frame that fails to decode — truncated mid-frame, version-skewed, or
-// mangled — classifies corrupt: the partial is discarded and the range
-// retries elsewhere, never merging.
-func (c *Coordinator) postInsertPass(ctx context.Context, w *shard.Worker, req InsertPassRequest, header []byte, r shard.Range) (*InsertPassResponse, error) {
-	if c.codecFor(w) == CodecJSON {
-		var resp InsertPassResponse
-		req.Range = r
-		if err := w.Post(ctx, insertPassPath, req, &resp); err != nil {
-			return nil, err
-		}
-		return &resp, nil
-	}
-	data, ct, err := w.PostBody(ctx, insertPassPath, wire.ContentType, wire.ContentType, appendPassRequest(nil, header, r))
-	if err != nil {
-		return nil, err
-	}
-	if !wantsBinary(ct) {
-		// The worker answered on the JSON debug surface despite our Accept.
-		var resp InsertPassResponse
-		if err := json.Unmarshal(data, &resp); err != nil {
-			return nil, shard.Errf(shard.ClassCorrupt, "serve: decoding insert-pass response from %s: %w", w.Base, err)
-		}
-		return &resp, nil
-	}
-	var ob insertion.OutcomeBuf
-	resp, err := decodeInsertPassResponse(data, &ob)
-	if err != nil {
-		return nil, shard.Errf(shard.ClassCorrupt, "serve: decoding binary insert-pass frame from %s: %w", w.Base, err)
-	}
-	return resp, nil
-}
-
-// postYieldPass is postInsertPass for yield-pass ranges.
-func (c *Coordinator) postYieldPass(ctx context.Context, w *shard.Worker, req YieldPassRequest, header []byte, r shard.Range) (*YieldPassResponse, error) {
-	if c.codecFor(w) == CodecJSON {
-		var resp YieldPassResponse
-		req.Range = r
-		if err := w.Post(ctx, yieldPassPath, req, &resp); err != nil {
-			return nil, err
-		}
-		return &resp, nil
-	}
-	data, ct, err := w.PostBody(ctx, yieldPassPath, wire.ContentType, wire.ContentType, appendPassRequest(nil, header, r))
-	if err != nil {
-		return nil, err
-	}
-	if !wantsBinary(ct) {
-		var resp YieldPassResponse
-		if err := json.Unmarshal(data, &resp); err != nil {
-			return nil, shard.Errf(shard.ClassCorrupt, "serve: decoding yield-pass response from %s: %w", w.Base, err)
-		}
-		return &resp, nil
-	}
-	var tb yield.TallyBuf
-	resp, err := decodeYieldPassResponse(data, &tb)
-	if err != nil {
-		return nil, shard.Errf(shard.ClassCorrupt, "serve: decoding binary yield-pass frame from %s: %w", w.Base, err)
-	}
-	return resp, nil
-}
-
-// ranges tiles [0, n), and revives any down workers that answer /healthz
-// again — a restarted worker rejoins at the next coordinated pass.
-func (c *Coordinator) ranges(ctx context.Context, n int) []shard.Range {
-	return c.waveRanges(ctx, 0, n)
-}
-
-// waveRanges tiles the sub-range [lo, hi) — a full pass, or one adaptive
+// ranges tiles the sub-range [lo, hi) — a full pass, or one adaptive
 // dispatch wave — and probes down workers so a restarted worker rejoins at
 // the next pass or wave.
-func (c *Coordinator) waveRanges(ctx context.Context, lo, hi int) []shard.Range {
+func (c *Coordinator) ranges(ctx context.Context, lo, hi int) []shard.Range {
 	if c.Pool.Alive() < c.Pool.Size() {
 		c.Pool.Probe(ctx, "/healthz")
 	}
@@ -348,6 +208,78 @@ func (c *Coordinator) waveRanges(ctx context.Context, lo, hi int) []shard.Range 
 	return shard.SplitRange(lo, hi, parts)
 }
 
+// rangeTask is one sharded pass's per-range work over partials of type P.
+type rangeTask[P any] struct {
+	path string
+	// header is the pass request's JSON form with a zero Range, marshaled
+	// once per pass and shared by every range's frame.
+	header []byte
+	// decode unframes a worker's binary response into its partial.
+	decode func(data []byte) (P, error)
+	// check validates a partial against its range before it is committed.
+	check func(p P, r shard.Range) error
+	// merge folds a committed partial — a checked worker partial, or an
+	// in-process one — into the pass result; calls are serialized.
+	merge func(p P, r shard.Range)
+	// local computes the range in-process (the fallback).
+	local func(ctx context.Context, r shard.Range) (P, error)
+}
+
+// run dispatches one pass over ranges through the pool — one post and one
+// local path for every kind of pass: a worker's partial is decoded,
+// checked, and merged only after its range is committed, so a malformed
+// or miscounted partial rejects the attempt as corrupt (Pool.Run retries
+// the range elsewhere, and nothing was merged) and a lost hedge race
+// discards its duplicate instead of merging it twice.
+func (t rangeTask[P]) run(ctx context.Context, pool *shard.Pool, ranges []shard.Range) error {
+	var mu sync.Mutex
+	merge := func(p P, r shard.Range) {
+		mu.Lock()
+		defer mu.Unlock()
+		t.merge(p, r)
+	}
+	post := func(ctx context.Context, w *shard.Worker, r shard.Range, commit func() bool) error {
+		p, err := t.post(ctx, w, r)
+		if err != nil {
+			return err
+		}
+		if err := t.check(p, r); err != nil {
+			return shard.Errf(shard.ClassCorrupt, "serve: %s from %s, range [%d,%d): %w", t.path, w.Base, r.Lo, r.Hi, err)
+		}
+		if !commit() {
+			return nil // lost hedge race: the range already merged
+		}
+		merge(p, r)
+		return nil
+	}
+	local := func(ctx context.Context, r shard.Range) error {
+		p, err := t.local(ctx, r)
+		if err != nil {
+			return err
+		}
+		merge(p, r)
+		return nil
+	}
+	return pool.Run(ctx, ranges, post, local)
+}
+
+// post sends range r's binary frame to w and decodes the response frame.
+// A response that fails to decode — truncated mid-frame, version-skewed,
+// mangled, or not a binary frame at all — classifies corrupt: the partial
+// is discarded and the range retries elsewhere, never merging.
+func (t rangeTask[P]) post(ctx context.Context, w *shard.Worker, r shard.Range) (P, error) {
+	var zero P
+	data, _, err := w.PostBody(ctx, t.path, wire.ContentType, wire.ContentType, appendPassRequest(nil, t.header, r))
+	if err != nil {
+		return zero, err
+	}
+	p, err := t.decode(data)
+	if err != nil {
+		return zero, shard.Errf(shard.ClassCorrupt, "serve: decoding %s frame from %s: %w", t.path, w.Base, err)
+	}
+	return p, nil
+}
+
 // InsertPass returns the distributed executor for one flow configuration:
 // plug it into insertion.Config.Pass and the flow's step-1/B1/step-2
 // passes each fan out over the pool and merge k-indexed outcomes. cfg must
@@ -356,8 +288,7 @@ func (c *Coordinator) waveRanges(ctx context.Context, lo, hi int) []shard.Range 
 // in-flight worker range and aborts the flow.
 func (c *Coordinator) InsertPass(ctx context.Context, cfg insertion.Config) insertion.PassFunc {
 	return func(spec insertion.PassSpec) ([]insertion.SampleOutcome, error) {
-		out := make([]insertion.SampleOutcome, cfg.Samples)
-		req := InsertPassRequest{
+		header, err := json.Marshal(InsertPassRequest{
 			Circuit:         c.Circuit,
 			Options:         c.Options,
 			T:               cfg.T,
@@ -368,284 +299,87 @@ func (c *Coordinator) InsertPass(ctx context.Context, cfg insertion.Config) inse
 			MaxComponent:    cfg.MaxComponent,
 			NoConcentration: cfg.NoConcentration,
 			Pass:            spec,
-		}
-		// The binary frame's shared header: marshaled once per pass, with
-		// the per-range window travelling natively beside it.
-		header, err := json.Marshal(req)
+		})
 		if err != nil {
 			return nil, err
 		}
-		post := func(ctx context.Context, w *shard.Worker, r shard.Range, commit func() bool) error {
-			resp, err := c.postInsertPass(ctx, w, req, header, r)
-			if err != nil {
-				return err
-			}
-			// Validate before committing, merge only after: a malformed
-			// partial must reject the attempt (ClassCorrupt retries it
-			// elsewhere without merging), and a lost hedge race must discard
-			// the duplicate rather than double-write the region.
-			if len(resp.Outcomes) != r.Len() {
-				return shard.Errf(shard.ClassCorrupt, "serve: worker %s returned %d outcomes for range [%d,%d)", w.Base, len(resp.Outcomes), r.Lo, r.Hi)
-			}
-			if !commit() {
+		out := make([]insertion.SampleOutcome, cfg.Samples)
+		err = rangeTask[[]insertion.SampleOutcome]{
+			path:   insertPassPath,
+			header: header,
+			decode: decodeOutcomes,
+			check: func(outs []insertion.SampleOutcome, r shard.Range) error {
+				if len(outs) != r.Len() {
+					return fmt.Errorf("%d outcomes for %d samples", len(outs), r.Len())
+				}
 				return nil
-			}
-			copy(out[r.Lo:r.Hi], resp.Outcomes)
-			return nil
-		}
-		local := func(ctx context.Context, r shard.Range) error {
-			part, err := c.runner.PassRange(ctx, cfg, spec, r.Lo, r.Hi)
-			if err != nil {
-				return err
-			}
-			copy(out[r.Lo:r.Hi], part)
-			return nil
-		}
-		if err := c.Pool.Run(ctx, c.ranges(ctx, cfg.Samples), post, local); err != nil {
+			},
+			merge: func(outs []insertion.SampleOutcome, r shard.Range) { copy(out[r.Lo:r.Hi], outs) },
+			local: func(ctx context.Context, r shard.Range) ([]insertion.SampleOutcome, error) {
+				return c.runner.PassRange(ctx, cfg, spec, r.Lo, r.Hi)
+			},
+		}.run(ctx, c.Pool, c.ranges(ctx, 0, cfg.Samples))
+		if err != nil {
 			return nil, err
 		}
 		return out, nil
 	}
 }
 
-// EvaluateQueries answers a yield query batch over n chips of universe
-// seed by sharding the chip range and merging per-sweep tallies —
-// byte-identical to the in-process EvaluateQueries on the same inputs.
-func (c *Coordinator) EvaluateQueries(ctx context.Context, n int, seed uint64, queries []YieldQuery) ([]YieldResult, error) {
-	results, sweeps, err := expandQueries(c.g, queries)
-	if err != nil {
-		return nil, err
-	}
-	merged := make([]yield.SweepTally, len(sweeps))
-	for i, sw := range sweeps {
-		merged[i] = sw.NewTally()
-	}
-	// Validation runs before the range is acknowledged: a malformed
-	// response (e.g. version skew) rejects the whole attempt as corrupt —
-	// Pool.Run retries the range elsewhere, and nothing was merged.
-	validate := func(parts []yield.SweepTally) error {
-		if len(parts) != len(sweeps) {
-			return fmt.Errorf("serve: got %d tallies, want %d", len(parts), len(sweeps))
-		}
-		for i, sw := range sweeps {
-			if want := len(sw.Ts) + 1; len(parts[i].FirstZero) != want || len(parts[i].FirstTuned) != want {
-				return fmt.Errorf("serve: tally %d has lengths %d/%d, want %d",
-					i, len(parts[i].FirstZero), len(parts[i].FirstTuned), want)
-			}
-		}
-		return nil
-	}
-	var mu sync.Mutex
-	mergeAll := func(parts []yield.SweepTally) error {
-		mu.Lock()
-		defer mu.Unlock()
-		for i := range merged {
-			if err := merged[i].Merge(parts[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	req := YieldPassRequest{
-		Circuit:     c.Circuit,
-		Options:     c.Options,
-		EvalSamples: n,
-		Seed:        seed,
-		Queries:     queries,
-	}
-	header, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	post := func(ctx context.Context, w *shard.Worker, r shard.Range, commit func() bool) error {
-		resp, err := c.postYieldPass(ctx, w, req, header, r)
-		if err != nil {
-			return err
-		}
-		if err := validate(resp.Tallies); err != nil {
-			return shard.Errf(shard.ClassCorrupt, "%w", err)
-		}
-		if !commit() {
-			return nil // lost hedge race: the range already merged
-		}
-		if err := mergeAll(resp.Tallies); err != nil {
-			// Post-commit merge failures cannot retry (the range is already
-			// acknowledged); abort the pass explicitly rather than finish
-			// with a silently short tally.
-			return shard.Errf(shard.ClassFatal, "serve: merging range [%d,%d): %w", r.Lo, r.Hi, err)
-		}
-		return nil
-	}
-	local := func(ctx context.Context, r shard.Range) error {
-		src := ctxSource{ctx: ctx, src: mc.New(c.g, seed)}
-		parts := yield.TallyRange(src, r.Lo, r.Hi, sweeps...)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return mergeAll(parts)
-	}
-	if err := c.Pool.Run(ctx, c.ranges(ctx, n), post, local); err != nil {
-		return nil, err
-	}
-	reports := make([]yield.SweepReport, len(sweeps))
-	for i, sw := range sweeps {
-		reports[i] = sw.ReportOf(merged[i])
-	}
-	return foldReports(results, reports), nil
-}
-
-// EvaluateQueriesAdaptive answers a yield query batch adaptively: the same
-// wave state machine the in-process path drives (yield.Adaptive) decides
-// range, kind, and stopping, and each wave is dispatched over the pool as
-// its own sharded pass — so the wave schedule, the samples used, and every
-// reported estimate are identical to EvaluateQueriesAdaptive in serve.go
-// on the same inputs. Worker loss inside a wave is absorbed by Pool.Run as
-// usual (re-dispatch, in-process drain), and cancelling ctx releases every
-// in-flight wave range promptly.
-func (c *Coordinator) EvaluateQueriesAdaptive(ctx context.Context, n int, seed uint64, queries []YieldQuery, prec yield.Precision) ([]YieldResult, error) {
-	results, sweeps, err := expandQueries(c.g, queries)
-	if err != nil {
-		return nil, err
-	}
-	a, err := yield.NewAdaptive(prec, n, sweeps...)
-	if err != nil {
-		return nil, asClientError(err)
-	}
-	for {
-		lo, hi, zeroOnly, ok := a.Next()
-		if !ok {
-			break
-		}
-		merged := make([]yield.SweepTally, len(sweeps))
-		for i, sw := range sweeps {
-			if zeroOnly {
-				merged[i] = yield.SweepTally{FirstZero: make([]int, len(sw.Ts)+1)}
-			} else {
-				merged[i] = sw.NewTally()
-			}
-		}
-		validate := func(parts []yield.SweepTally) error {
-			if len(parts) != len(sweeps) {
-				return fmt.Errorf("serve: got %d tallies, want %d", len(parts), len(sweeps))
-			}
-			for i, sw := range sweeps {
-				wantTuned := len(sw.Ts) + 1
-				if zeroOnly {
-					wantTuned = 0
-				}
-				if len(parts[i].FirstZero) != len(sw.Ts)+1 || len(parts[i].FirstTuned) != wantTuned {
-					return fmt.Errorf("serve: wave tally %d has lengths %d/%d, want %d/%d",
-						i, len(parts[i].FirstZero), len(parts[i].FirstTuned), len(sw.Ts)+1, wantTuned)
-				}
-			}
-			return nil
-		}
-		var mu sync.Mutex
-		mergeAll := func(parts []yield.SweepTally) error {
-			mu.Lock()
-			defer mu.Unlock()
-			for i := range merged {
-				var err error
-				if zeroOnly {
-					err = merged[i].MergeZero(parts[i])
-				} else {
-					err = merged[i].Merge(parts[i])
-				}
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		req := YieldPassRequest{
-			Circuit:     c.Circuit,
-			Options:     c.Options,
-			EvalSamples: n,
-			Seed:        seed,
-			Queries:     queries,
-			ZeroOnly:    zeroOnly,
-			Strata:      a.Prec.Strata,
-		}
-		header, err := json.Marshal(req)
-		if err != nil {
-			return nil, err
-		}
-		post := func(ctx context.Context, w *shard.Worker, r shard.Range, commit func() bool) error {
-			resp, err := c.postYieldPass(ctx, w, req, header, r)
+// Backend returns the sharded yield backend over n chips of universe
+// seed: each wave the driver asks for is one Pool.Run over the wave's
+// tiled range, every range's tallies are checked against the range
+// (yield.CheckWave) before they merge, and the in-process fallback tallies
+// a range on the coordinator's own graph. The wave schedule is the
+// driver's — a pure function of the merged tallies — so sharded results
+// are byte-identical to in-process ones, fixed and adaptive alike.
+func (c *Coordinator) Backend(n int, seed uint64) Backend {
+	return func(queries []YieldQuery, sweeps []*yield.SweepEvaluator) yield.WaveFunc {
+		local := yield.Local(mc.New(c.g, seed), sweeps...)
+		return func(ctx context.Context, lo, hi int, zeroOnly bool, strata int) ([]yield.SweepTally, error) {
+			header, err := json.Marshal(YieldPassRequest{
+				Circuit:     c.Circuit,
+				Options:     c.Options,
+				EvalSamples: n,
+				Seed:        seed,
+				Queries:     queries,
+				ZeroOnly:    zeroOnly,
+				Strata:      strata,
+			})
 			if err != nil {
-				return err
+				return nil, err
 			}
-			if err := validate(resp.Tallies); err != nil {
-				return shard.Errf(shard.ClassCorrupt, "%w", err)
+			merged := yield.NewWave(zeroOnly, sweeps)
+			err = rangeTask[[]yield.SweepTally]{
+				path:   yieldPassPath,
+				header: header,
+				decode: decodeTallies,
+				check: func(ts []yield.SweepTally, r shard.Range) error {
+					return yield.CheckWave(ts, r.Len(), zeroOnly, sweeps)
+				},
+				merge: func(ts []yield.SweepTally, _ shard.Range) {
+					for i := range merged {
+						merged[i].Merge(ts[i]) // shapes checked or built by yield.Local: cannot fail
+					}
+				},
+				local: func(ctx context.Context, r shard.Range) ([]yield.SweepTally, error) {
+					return local(ctx, r.Lo, r.Hi, zeroOnly, strata)
+				},
+			}.run(ctx, c.Pool, c.ranges(ctx, lo, hi))
+			if err != nil {
+				return nil, err
 			}
-			if !commit() {
-				return nil // lost hedge race: the range already merged
-			}
-			if err := mergeAll(resp.Tallies); err != nil {
-				return shard.Errf(shard.ClassFatal, "serve: merging wave range [%d,%d): %w", r.Lo, r.Hi, err)
-			}
-			return nil
-		}
-		local := func(ctx context.Context, r shard.Range) error {
-			eng := mc.New(c.g, seed)
-			eng.Stratify = a.Prec.Strata
-			src := ctxSource{ctx: ctx, src: eng}
-			var parts []yield.SweepTally
-			if zeroOnly {
-				parts = yield.TallyRangeZero(src, r.Lo, r.Hi, sweeps...)
-			} else {
-				parts = yield.TallyRange(src, r.Lo, r.Hi, sweeps...)
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return mergeAll(parts)
-		}
-		if err := c.Pool.Run(ctx, c.waveRanges(ctx, lo, hi), post, local); err != nil {
-			return nil, err
-		}
-		if err := a.Absorb(merged); err != nil {
-			return nil, err
+			return merged, nil
 		}
 	}
-	return foldAdaptive(results, a.Reports()), nil
 }
 
-// EvalPlans measures each plan's single-period yield report (at its own
-// target T) over n fresh chips — the sharded replacement for the shared
-// in-process pass expt.RunRows runs, byte-identical to it.
-func (c *Coordinator) EvalPlans(ctx context.Context, plans []insertion.Plan, n int, seed uint64) ([]yield.Report, error) {
+// PlanWaves is Backend in the form expt.RowConfig.Waves takes: each plan
+// is one single-period query at its own target T.
+func (c *Coordinator) PlanWaves(plans []insertion.Plan, n int, seed uint64, sweeps []*yield.SweepEvaluator) yield.WaveFunc {
 	queries := make([]YieldQuery, len(plans))
 	for i, p := range plans {
 		queries[i] = YieldQuery{Plan: p}
 	}
-	results, err := c.EvaluateQueries(ctx, n, seed, queries)
-	if err != nil {
-		return nil, err
-	}
-	reports := make([]yield.Report, len(results))
-	for i, res := range results {
-		reports[i] = res.Reports[0].At(0)
-	}
-	return reports, nil
-}
-
-// EvalPlansAdaptive is EvalPlans under a precision target: one shared
-// wave-dispatched sequential pass answers every plan's single-period yield
-// to ±prec.Eps (capped at n chips), matching the in-process adaptive path
-// wave for wave.
-func (c *Coordinator) EvalPlansAdaptive(ctx context.Context, plans []insertion.Plan, n int, seed uint64, prec yield.Precision) ([]yield.AdaptiveReport, error) {
-	queries := make([]YieldQuery, len(plans))
-	for i, p := range plans {
-		queries[i] = YieldQuery{Plan: p}
-	}
-	results, err := c.EvaluateQueriesAdaptive(ctx, n, seed, queries, prec)
-	if err != nil {
-		return nil, err
-	}
-	reports := make([]yield.AdaptiveReport, len(results))
-	for i, res := range results {
-		reports[i] = res.Adaptive[0]
-	}
-	return reports, nil
+	return c.Backend(n, seed)(queries, sweeps)
 }

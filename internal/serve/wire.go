@@ -15,11 +15,11 @@ import (
 	"repro/internal/yield"
 )
 
-// This file is the binary wire codec for the /v1/shard/* pass payloads,
-// negotiated per request via Content-Type (request encoding) and Accept
-// (response encoding). JSON remains the debug/compat surface — a worker
-// answers whichever codec the coordinator speaks, and error responses
-// are always JSON regardless of Accept.
+// This file is the binary wire codec of the /v1/shard/* pass payloads —
+// the only framing those endpoints speak: a request must arrive as a
+// binary frame (Content-Type application/x-bufins-shard; anything else
+// is answered 415), a 200 response is a binary frame, and error
+// responses are JSON like every other endpoint's.
 //
 // Frame grammar (all little-endian, see internal/shard/wire):
 //
@@ -35,33 +35,6 @@ import (
 // construction. The response is the bulky direction (per-sample
 // outcomes, per-sweep tallies) and is fully binary via the flat batch
 // codecs in internal/insertion and internal/yield.
-
-// Codec names accepted by Config.Codec, Coordinator.Codec, and the
-// cmds' -codec flag.
-const (
-	// CodecBinary frames every shard pass in the length-prefixed binary
-	// codec (the default: ~10x less coordinator CPU and bytes than JSON
-	// for the flat numeric payloads).
-	CodecBinary = "binary"
-	// CodecJSON keeps every shard pass on the HTTP/JSON debug surface.
-	CodecJSON = "json"
-	// CodecMixed alternates codecs across the worker pool (even worker
-	// index binary, odd JSON) — the CI matrix uses it to prove both
-	// framings merge byte-identically in one run.
-	CodecMixed = "mixed"
-)
-
-// ParseCodec validates a codec name from config or flag input; the
-// empty string selects the default (binary).
-func ParseCodec(s string) (string, error) {
-	switch s {
-	case "":
-		return CodecBinary, nil
-	case CodecBinary, CodecJSON, CodecMixed:
-		return s, nil
-	}
-	return "", fmt.Errorf("unknown shard codec %q (want %s, %s, or %s)", s, CodecBinary, CodecJSON, CodecMixed)
-}
 
 // appendPassRequest frames one pass request: the shared JSON header plus
 // the native per-range window.
@@ -135,6 +108,17 @@ func decodeInsertPassResponse(data []byte, ob *insertion.OutcomeBuf) (*InsertPas
 	return &InsertPassResponse{Outcomes: outs, ElapsedMS: int64(elapsed)}, nil
 }
 
+// decodeOutcomes unframes an insert-pass response into its outcomes, in
+// fresh storage (the coordinator's per-range decoder).
+func decodeOutcomes(data []byte) ([]insertion.SampleOutcome, error) {
+	var ob insertion.OutcomeBuf
+	resp, err := decodeInsertPassResponse(data, &ob)
+	if err != nil {
+		return nil, err
+	}
+	return resp.Outcomes, nil
+}
+
 // appendYieldPassResponse frames one yield-pass response binary.
 func appendYieldPassResponse(buf []byte, resp *YieldPassResponse) []byte {
 	buf = wire.AppendU8(buf, wire.Version)
@@ -156,55 +140,45 @@ func decodeYieldPassResponse(data []byte, tb *yield.TallyBuf) (*YieldPassRespons
 	return &YieldPassResponse{Tallies: tallies, ElapsedMS: int64(elapsed)}, nil
 }
 
+// decodeTallies unframes a yield-pass response into its tallies, in fresh
+// storage (the coordinator's per-range decoder).
+func decodeTallies(data []byte) ([]yield.SweepTally, error) {
+	var tb yield.TallyBuf
+	resp, err := decodeYieldPassResponse(data, &tb)
+	if err != nil {
+		return nil, err
+	}
+	return resp.Tallies, nil
+}
+
 // encBufPool recycles response encode buffers across shard-pass
 // requests so the warm worker encode path reuses storage instead of
 // allocating a fresh frame per range.
 var encBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-// wantsBinary reports whether the request's header h (Content-Type or
-// Accept) selects the binary shard codec.
-func wantsBinary(h string) bool {
-	return strings.Contains(h, wire.ContentType)
-}
-
-// shardRoutes installs the codec-negotiating /v1/shard/* handlers.
+// shardRoutes installs the binary /v1/shard/* handlers.
 func (s *Server) shardRoutes() {
-	s.mux.Handle(insertPassPath, s.passHandler(epInsertPass,
-		func(body []byte) (any, error) {
-			var req InsertPassRequest
-			err := json.Unmarshal(body, &req)
-			return req, err
-		},
-		func(body []byte) (any, error) { return decodeInsertPassRequest(body) },
-		func(r *http.Request, req any) (any, error) { return s.insertPass(r, req.(InsertPassRequest)) },
-		func(buf []byte, resp any) []byte { return appendInsertPassResponse(buf, resp.(*InsertPassResponse)) },
-	))
-	s.mux.Handle(yieldPassPath, s.passHandler(epYieldPass,
-		func(body []byte) (any, error) {
-			var req YieldPassRequest
-			err := json.Unmarshal(body, &req)
-			return req, err
-		},
-		func(body []byte) (any, error) { return decodeYieldPassRequest(body) },
-		func(r *http.Request, req any) (any, error) { return s.yieldPass(r, req.(YieldPassRequest)) },
-		func(buf []byte, resp any) []byte { return appendYieldPassResponse(buf, resp.(*YieldPassResponse)) },
-	))
+	s.mux.Handle(insertPassPath, passHandler(s, epInsertPass, decodeInsertPassRequest, s.insertPass, appendInsertPassResponse))
+	s.mux.Handle(yieldPassPath, passHandler(s, epYieldPass, decodeYieldPassRequest, s.yieldPass, appendYieldPassResponse))
 }
 
-// passHandler wraps one /v1/shard/* endpoint with codec negotiation on
-// top of the jsonHandler duties (inflight limiting, body capping, error
-// mapping): the request decodes by Content-Type, the 200 response
-// encodes by Accept, and errors are always JSON.
-func (s *Server) passHandler(ep endpoint,
-	decodeJSON func([]byte) (any, error),
-	decodeBin func([]byte) (any, error),
-	handle func(*http.Request, any) (any, error),
-	appendBin func([]byte, any) []byte,
+// passHandler wraps one /v1/shard/* endpoint with the jsonHandler duties
+// (inflight limiting, body capping, error mapping) around the binary
+// frame codec: the request decodes from a binary frame, the 200 response
+// encodes as one, and errors are JSON.
+func passHandler[Req any, Resp any](s *Server, ep endpoint,
+	decode func([]byte) (Req, error),
+	handle func(*http.Request, Req) (Resp, error),
+	appendResp func([]byte, Resp) []byte,
 ) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.m.requests[ep].Add(1)
 		if r.Method != http.MethodPost {
 			s.fail(w, ep, http.StatusMethodNotAllowed, errors.New("POST only"))
+			return
+		}
+		if ct := r.Header.Get("Content-Type"); !strings.Contains(ct, wire.ContentType) {
+			s.fail(w, ep, http.StatusUnsupportedMediaType, fmt.Errorf("shard passes take %s frames, not %q", wire.ContentType, ct))
 			return
 		}
 		select {
@@ -223,12 +197,7 @@ func (s *Server) passHandler(ep endpoint,
 			s.fail(w, ep, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 			return
 		}
-		var req any
-		if wantsBinary(r.Header.Get("Content-Type")) {
-			req, err = decodeBin(body)
-		} else {
-			req, err = decodeJSON(body)
-		}
+		req, err := decode(body)
 		if err != nil {
 			s.fail(w, ep, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 			return
@@ -243,16 +212,11 @@ func (s *Server) passHandler(ep endpoint,
 			s.fail(w, ep, status, err)
 			return
 		}
-		if wantsBinary(r.Header.Get("Accept")) {
-			bp := encBufPool.Get().(*[]byte)
-			buf := appendBin((*bp)[:0], resp)
-			w.Header().Set("Content-Type", wire.ContentType)
-			w.Write(buf)
-			*bp = buf[:0]
-			encBufPool.Put(bp)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(resp)
+		bp := encBufPool.Get().(*[]byte)
+		buf := appendResp((*bp)[:0], resp)
+		w.Header().Set("Content-Type", wire.ContentType)
+		w.Write(buf)
+		*bp = buf[:0]
+		encBufPool.Put(bp)
 	})
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -129,21 +130,6 @@ func TestYieldPassResponseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseCodec(t *testing.T) {
-	for in, want := range map[string]string{
-		"":     CodecBinary,
-		"json": CodecJSON, "binary": CodecBinary, "mixed": CodecMixed,
-	} {
-		got, err := ParseCodec(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseCodec(%q) = %q, %v; want %q", in, got, err, want)
-		}
-	}
-	if _, err := ParseCodec("protobuf"); err == nil {
-		t.Fatal("ParseCodec accepted an unknown codec")
-	}
-}
-
 // TestTruncatedBinaryFrameClassifiesCorrupt is the truncate-mid-frame
 // guarantee: a worker whose 200 response carries a short binary frame
 // must classify ClassCorrupt at the coordinator — the partial is
@@ -169,10 +155,9 @@ func TestTruncatedBinaryFrameClassifiesCorrupt(t *testing.T) {
 			}))
 			defer ts.Close()
 			pool := shard.NewPoolWith([]string{ts.URL}, shard.Options{})
-			c := &Coordinator{Pool: pool, Codec: CodecBinary}
-			req := wireInsertReq()
-			header, _ := json.Marshal(req)
-			_, err := c.postInsertPass(context.Background(), pool.Workers()[0], req, header, shard.Range{Lo: 0, Hi: 2})
+			header, _ := json.Marshal(wireInsertReq())
+			task := rangeTask[[]insertion.SampleOutcome]{path: insertPassPath, header: header, decode: decodeOutcomes}
+			_, err := task.post(context.Background(), pool.Workers()[0], shard.Range{Lo: 0, Hi: 2})
 			if err == nil {
 				t.Fatal("short/mangled binary frame decoded cleanly")
 			}
@@ -183,10 +168,10 @@ func TestTruncatedBinaryFrameClassifiesCorrupt(t *testing.T) {
 	}
 }
 
-// TestPassHandlerNegotiatesCodecs drives one worker endpoint through all
-// four Content-Type × Accept combinations and checks the response framing
-// follows Accept while the decoded payload stays identical.
-func TestPassHandlerNegotiatesCodecs(t *testing.T) {
+// TestPassHandlerSpeaksBinaryOnly: a worker endpoint answers a binary
+// frame with a binary frame, and turns a JSON body away with a clean 4xx
+// (a JSON error body, no partial) instead of trying to decode it.
+func TestPassHandlerSpeaksBinaryOnly(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -198,66 +183,42 @@ func TestPassHandlerNegotiatesCodecs(t *testing.T) {
 		Samples: 4,
 		Seed:    5,
 		Pass:    insertion.PassSpec{Kind: insertion.PassFloating},
-		Range:   shard.Range{Lo: 0, Hi: 4},
 	}
-	pool := shard.NewPoolWith([]string{ts.URL}, shard.Options{})
-	w := pool.Workers()[0]
+	header, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := shard.Range{Lo: 0, Hi: 4}
+	w := shard.NewPoolWith([]string{ts.URL}, shard.Options{}).Workers()[0]
 
-	var wantJSON string
-	for _, tc := range []struct{ reqCodec, respCodec string }{
-		{CodecJSON, CodecJSON},
-		{CodecJSON, CodecBinary},
-		{CodecBinary, CodecJSON},
-		{CodecBinary, CodecBinary},
-	} {
-		var body []byte
-		var err error
-		ct := "application/json"
-		if tc.reqCodec == CodecBinary {
-			hdr := req
-			hdr.Range = shard.Range{}
-			header, merr := json.Marshal(hdr)
-			if merr != nil {
-				t.Fatal(merr)
-			}
-			body = appendPassRequest(nil, header, req.Range)
-			ct = wire.ContentType
-		} else if body, err = json.Marshal(req); err != nil {
-			t.Fatal(err)
+	data, ct, err := w.PostBody(context.Background(), insertPassPath, wire.ContentType, wire.ContentType, appendPassRequest(nil, header, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct != wire.ContentType {
+		t.Fatalf("binary request answered with Content-Type %q", ct)
+	}
+	outs, err := decodeOutcomes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != rng.Len() {
+		t.Fatalf("got %d outcomes for %d samples", len(outs), rng.Len())
+	}
+
+	req.Range = rng
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{insertPassPath, yieldPassPath} {
+		_, _, err := w.PostBody(context.Background(), path, "application/json", "", body)
+		var se *shard.Error
+		if !errors.As(err, &se) || se.Status < 400 || se.Status >= 500 {
+			t.Fatalf("%s: JSON body: err = %v, want a 4xx", path, err)
 		}
-		accept := "application/json"
-		if tc.respCodec == CodecBinary {
-			accept = wire.ContentType
-		}
-		data, gotCT, err := w.PostBody(context.Background(), insertPassPath, ct, accept, body)
-		if err != nil {
-			t.Fatalf("%s→%s: %v", tc.reqCodec, tc.respCodec, err)
-		}
-		var resp InsertPassResponse
-		if tc.respCodec == CodecBinary {
-			if gotCT != wire.ContentType {
-				t.Fatalf("%s→%s: response Content-Type = %q", tc.reqCodec, tc.respCodec, gotCT)
-			}
-			var ob insertion.OutcomeBuf
-			p, err := decodeInsertPassResponse(data, &ob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp = *p
-		} else {
-			if gotCT == wire.ContentType {
-				t.Fatalf("%s→%s: JSON Accept answered binary", tc.reqCodec, tc.respCodec)
-			}
-			if err := json.Unmarshal(data, &resp); err != nil {
-				t.Fatal(err)
-			}
-		}
-		resp.ElapsedMS = 0
-		j := reqJSON(t, resp.Outcomes)
-		if wantJSON == "" {
-			wantJSON = j
-		} else if j != wantJSON {
-			t.Fatalf("%s→%s: outcomes diverge across codecs:\n got  %s\n want %s", tc.reqCodec, tc.respCodec, j, wantJSON)
+		if se.Class != shard.ClassFatal {
+			t.Fatalf("%s: JSON body classified %v, want fatal (the request is wrong, not the worker)", path, se.Class)
 		}
 	}
 }

@@ -23,8 +23,8 @@ import (
 	"math"
 )
 
-// ContentType is the MIME type negotiated on /v1/shard/* for the binary
-// codec ("application/json" remains the debug/compat surface).
+// ContentType is the MIME type of the binary frames /v1/shard/* requests
+// and 200 responses travel in (the endpoints speak no other framing).
 const ContentType = "application/x-bufins-shard"
 
 // Version is the frame version byte leading every binary payload.

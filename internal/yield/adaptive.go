@@ -3,7 +3,6 @@ package yield
 import (
 	"fmt"
 
-	"repro/internal/mc"
 	"repro/internal/stat"
 )
 
@@ -119,10 +118,9 @@ type AdaptiveReport struct {
 //		a.Absorb(…tallies for [lo,hi)…)
 //	}
 //
-// The machine never realizes chips itself — EvaluateManyAdaptive drives it
-// against an mc.Engine in-process, and serve.Coordinator drives the same
-// machine with each wave sharded across workers, so both backends follow
-// the identical schedule.
+// The machine never realizes chips itself: Drive runs it against a wave
+// backend — in-process (Local) or sharded across workers
+// (serve.Coordinator) — so both backends follow the identical schedule.
 type Adaptive struct {
 	// Prec is the normalized request (defaults filled, Strata possibly
 	// cleared when the sample cap cannot balance the bands).
@@ -210,29 +208,13 @@ func (a *Adaptive) Next() (lo, hi int, zeroOnly bool, ok bool) {
 
 // Absorb merges the pending wave's tallies (one per sweep, produced by
 // TallyRange or TallyRangeZero over exactly the range Next returned) and
-// advances the stopping rule.
+// advances the stopping rule. A wave that fails CheckWave is rejected.
 func (a *Adaptive) Absorb(tallies []SweepTally) error {
 	if !a.pending {
 		return fmt.Errorf("yield: Absorb without a pending wave")
 	}
-	if len(tallies) != len(a.sweeps) {
-		return fmt.Errorf("yield: wave returned %d tallies for %d sweeps", len(tallies), len(a.sweeps))
-	}
-	want := a.pendHi - a.pendLo
-	for i, t := range tallies {
-		nT := len(a.sweeps[i].Ts)
-		if len(t.FirstZero) != nT+1 {
-			return fmt.Errorf("yield: wave tally %d has %d zero bins, want %d", i, len(t.FirstZero), nT+1)
-		}
-		switch {
-		case a.pendZero && len(t.FirstTuned) != 0:
-			return fmt.Errorf("yield: zero-only wave tally %d carries tuned bins", i)
-		case !a.pendZero && len(t.FirstTuned) != nT+1:
-			return fmt.Errorf("yield: wave tally %d has %d tuned bins, want %d", i, len(t.FirstTuned), nT+1)
-		}
-		if got := t.Chips(); got != want {
-			return fmt.Errorf("yield: wave tally %d covers %d chips, want %d", i, got, want)
-		}
+	if err := CheckWave(tallies, a.pendHi-a.pendLo, a.pendZero, a.sweeps); err != nil {
+		return err
 	}
 	for i, t := range tallies {
 		if a.pendZero {
@@ -404,34 +386,4 @@ func (a *Adaptive) Reports() []AdaptiveReport {
 		out[si] = rep
 	}
 	return out
-}
-
-// EvaluateManyAdaptive is the in-process driver: it runs the adaptive
-// wave loop over the engine until every sweep threshold reaches the
-// requested precision or n samples are exhausted. The engine's Stratify is
-// set from the request — the stratified universe differs from the plain
-// one at the same seed, which is fine because only adaptive (eps > 0)
-// evaluation ever reaches this path.
-func EvaluateManyAdaptive(eng *mc.Engine, n int, prec Precision, sweeps ...*SweepEvaluator) ([]AdaptiveReport, error) {
-	a, err := NewAdaptive(prec, n, sweeps...)
-	if err != nil {
-		return nil, err
-	}
-	eng.Stratify = a.Prec.Strata
-	for {
-		lo, hi, zeroOnly, ok := a.Next()
-		if !ok {
-			break
-		}
-		var ts []SweepTally
-		if zeroOnly {
-			ts = TallyRangeZero(eng, lo, hi, sweeps...)
-		} else {
-			ts = TallyRange(eng, lo, hi, sweeps...)
-		}
-		if err := a.Absorb(ts); err != nil {
-			return nil, err
-		}
-	}
-	return a.Reports(), nil
 }

@@ -1,12 +1,20 @@
 package yield
 
 import (
+	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/mc"
 )
+
+// evalAdaptive runs the adaptive driver on the in-process backend over eng.
+func evalAdaptive(eng *mc.Engine, n int, prec Precision, sweeps ...*SweepEvaluator) ([]AdaptiveReport, error) {
+	res, err := Drive(context.Background(), Local(eng, sweeps...), n, prec, sweeps...)
+	return res.Adaptive, err
+}
 
 // TestAdaptiveEarlyStopAtEasyPoint is the acceptance criterion of the
 // adaptive loop: at an easy period (µ+3σ, yield ≈ 1) with eps=0.005 and
@@ -22,7 +30,7 @@ func TestAdaptiveEarlyStopAtEasyPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps, err := EvaluateManyAdaptive(mc.New(g, seed), n, prec, sw)
+	reps, err := evalAdaptive(mc.New(g, seed), n, prec, sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,12 +81,12 @@ func TestAdaptiveDeterministicAcrossWorkers(t *testing.T) {
 		e.Antithetic = true
 		return e
 	}
-	ref, err := EvaluateManyAdaptive(mkEng(1), 20000, prec, sw)
+	ref, err := evalAdaptive(mkEng(1), 20000, prec, sw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := EvaluateManyAdaptive(mkEng(workers), 20000, prec, sw)
+		got, err := evalAdaptive(mkEng(workers), 20000, prec, sw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,59 +117,38 @@ func TestAdaptiveShardedWavesMatchInProcess(t *testing.T) {
 		return []*SweepEvaluator{s1, s2}
 	}
 	inproc := mkSweeps()
-	want, err := EvaluateManyAdaptive(mc.New(g, seed), n, prec, inproc...)
+	want, err := evalAdaptive(mc.New(g, seed), n, prec, inproc...)
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	// Every wave is split unevenly; each part is tallied by a fresh engine,
+	// as a remote worker would, and the checked parts merge into the wave.
 	sweeps := mkSweeps()
-	a, err := NewAdaptive(prec, n, sweeps...)
+	split := func(ctx context.Context, lo, hi int, zeroOnly bool, strata int) ([]SweepTally, error) {
+		merged := NewWave(zeroOnly, sweeps)
+		cuts := []int{lo, lo + (hi-lo)/3, lo + (hi-lo)/2, hi}
+		for c := 0; c+1 < len(cuts); c++ {
+			part, err := Local(mc.New(g, seed), sweeps...)(ctx, cuts[c], cuts[c+1], zeroOnly, strata)
+			if err != nil {
+				return nil, err
+			}
+			if err := CheckWave(part, cuts[c+1]-cuts[c], zeroOnly, sweeps); err != nil {
+				return nil, err
+			}
+			for i := range merged {
+				if err := merged[i].Merge(part[i]); err != nil {
+					return nil, err
+				}
+			}
+		}
+		return merged, nil
+	}
+	res, err := Drive(context.Background(), split, n, prec, sweeps...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		lo, hi, zeroOnly, ok := a.Next()
-		if !ok {
-			break
-		}
-		// Merged accumulators, one per sweep, shaped for the wave kind.
-		merged := make([]SweepTally, len(sweeps))
-		for i, sw := range sweeps {
-			if zeroOnly {
-				merged[i] = SweepTally{FirstZero: make([]int, len(sw.Ts)+1)}
-			} else {
-				merged[i] = sw.NewTally()
-			}
-		}
-		// Uneven split of the wave range; each part uses a fresh engine,
-		// as a remote worker would.
-		cuts := []int{lo, lo + (hi-lo)/3, lo + (hi-lo)/2, hi}
-		for c := 0; c+1 < len(cuts); c++ {
-			eng := mc.New(g, seed)
-			eng.Stratify = a.Prec.Strata
-			var part []SweepTally
-			if zeroOnly {
-				part = TallyRangeZero(eng, cuts[c], cuts[c+1], sweeps...)
-			} else {
-				part = TallyRange(eng, cuts[c], cuts[c+1], sweeps...)
-			}
-			for i := range merged {
-				var err error
-				if zeroOnly {
-					err = merged[i].MergeZero(part[i])
-				} else {
-					err = merged[i].Merge(part[i])
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := a.Absorb(merged); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := a.Reports(); !reflect.DeepEqual(got, want) {
+	if got := res.Adaptive; !reflect.DeepEqual(got, want) {
 		t.Fatalf("sharded adaptive reports diverge:\n got %+v\nwant %+v", got, want)
 	}
 }
@@ -223,5 +210,72 @@ func TestAdaptiveStrataFallback(t *testing.T) {
 	}
 	if a.Prec.Strata != 0 {
 		t.Fatalf("Strata not cleared on tiny cap: %d", a.Prec.Strata)
+	}
+}
+
+// TestCheckWaveRejectsMiscounts: a partial whose histograms cover a chip
+// more (or less) than its range, or carry a negative bin, is rejected —
+// shape alone is not enough to merge.
+func TestCheckWaveRejectsMiscounts(t *testing.T) {
+	ev, g, Ts, _ := sweepFixture(t)
+	sw, err := NewSweepEvaluator(ev, Ts[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweeps := []*SweepEvaluator{sw}
+	good := TallyRange(mc.New(g, 3), 10, 50, sw)
+	if err := CheckWave(good, 40, false, sweeps); err != nil {
+		t.Fatalf("honest wave rejected: %v", err)
+	}
+	zero := TallyRangeZero(mc.New(g, 3), 10, 50, sw)
+	if err := CheckWave(zero, 40, true, sweeps); err != nil {
+		t.Fatalf("honest zero-only wave rejected: %v", err)
+	}
+	clone := func(ts []SweepTally) []SweepTally {
+		out := make([]SweepTally, len(ts))
+		for i, t := range ts {
+			out[i].FirstZero = append([]int(nil), t.FirstZero...)
+			if t.FirstTuned != nil {
+				out[i].FirstTuned = append([]int(nil), t.FirstTuned...)
+			}
+		}
+		return out
+	}
+	for name, mutate := range map[string]func([]SweepTally){
+		"extra chip":   func(ts []SweepTally) { ts[0].FirstZero[0]++; ts[0].FirstTuned[0]++ },
+		"tuned only":   func(ts []SweepTally) { ts[0].FirstTuned[1]++ },
+		"negative bin": func(ts []SweepTally) { ts[0].FirstZero[0] -= 41; ts[0].FirstZero[1] += 41 },
+		"short":        func(ts []SweepTally) { ts[0].FirstZero = ts[0].FirstZero[:2] },
+		"zero-only":    func(ts []SweepTally) { ts[0].FirstTuned = nil },
+	} {
+		bad := clone(good)
+		mutate(bad)
+		if err := CheckWave(bad, 40, false, sweeps); err == nil {
+			t.Errorf("%s: miscounted wave accepted", name)
+		}
+	}
+	if err := CheckWave(good, 40, true, sweeps); err == nil {
+		t.Error("joint tallies accepted for a zero-only wave")
+	}
+}
+
+// TestDriveHonorsCancellation: both the fixed and the adaptive driver
+// return the context's error for a cancelled request instead of reports.
+func TestDriveHonorsCancellation(t *testing.T) {
+	ev, g, Ts, _ := sweepFixture(t)
+	sw, err := NewSweepEvaluator(ev, Ts[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, prec := range []Precision{{}, {Eps: 0.01}} {
+		res, err := Drive(ctx, Local(mc.New(g, 8), sw), 4000, prec, sw)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("eps=%v: err = %v, want context.Canceled", prec.Eps, err)
+		}
+		if res.Reports != nil || res.Adaptive != nil {
+			t.Fatalf("eps=%v: cancelled drive returned reports", prec.Eps)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package yield
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -61,7 +62,7 @@ func NewSweepEvaluator(ev *Evaluator, Ts []float64) (*SweepEvaluator, error) {
 // SweepScratch is the per-worker reusable state of a sweep: the hold-side
 // difference system, the Bellman-Ford solver scratch, and the recorded
 // T-dependent constraint sites. One scratch must not be shared between
-// goroutines; Pass manages a pool internally.
+// goroutines; RangePass manages a pool internally.
 type SweepScratch struct {
 	sys *diffcon.IntSystem
 	sv  diffcon.IntSolver
@@ -231,20 +232,6 @@ func (t *SweepTally) Merge(o SweepTally) error {
 	return nil
 }
 
-// MergeZero adds only the zero-pass histogram of o into t. The adaptive
-// zero-only waves produce tallies with no tuned bins (FirstTuned nil), so
-// the full Merge would reject them; their step-1 counts still accumulate.
-func (t *SweepTally) MergeZero(o SweepTally) error {
-	if len(o.FirstZero) != len(t.FirstZero) {
-		return fmt.Errorf("yield: merging zero tallies of different sweep lengths (%d vs %d)",
-			len(o.FirstZero), len(t.FirstZero))
-	}
-	for i, c := range o.FirstZero {
-		t.FirstZero[i] += c
-	}
-	return nil
-}
-
 // NewTally returns an empty tally sized for this sweep (a merge identity).
 func (s *SweepEvaluator) NewTally() SweepTally {
 	return SweepTally{
@@ -283,8 +270,8 @@ func (s *SweepEvaluator) RangePass(lo, hi int) (consume func(k int, ch *timing.C
 // RangePassZero is the zero-only form of RangePass: only the step-1
 // (zero-tuning) threshold search runs — no rescue system, no Bellman–Ford
 // — so a chip costs a handful of FeasibleAtZero probes instead of a
-// solver pass. The tally carries FirstZero only (FirstTuned stays nil, a
-// shape MergeZero accepts and Merge rejects). The adaptive evaluator uses
+// solver pass. The tally carries FirstZero only (FirstTuned stays nil, the
+// zero-only shape CheckWave expects). The adaptive evaluator uses
 // these cheap waves to extend the step-1 horizon (original yield, and the
 // control-variate correction of tuned yield) without paying step-2 cost.
 func (s *SweepEvaluator) RangePassZero(lo, hi int) (consume func(k int, ch *timing.Chip), tally func() SweepTally) {
@@ -322,14 +309,6 @@ func (s *SweepEvaluator) ReportOf(t SweepTally) SweepReport {
 	return rep
 }
 
-// Pass begins one n-chip evaluation pass: RangePass over the full range,
-// reported cumulatively. The report is byte-identical for any worker count
-// — and, through the tally form, for any sharding of [0, n).
-func (s *SweepEvaluator) Pass(n int) (consume func(k int, ch *timing.Chip), report func() SweepReport) {
-	consume, tally := s.RangePass(0, n)
-	return consume, func() SweepReport { return s.ReportOf(tally()) }
-}
-
 // EvaluateSweep measures Yo and Y at every period of the sorted sweep Ts
 // over n chips from src, realizing each chip exactly once. The result is
 // byte-identical to calling Evaluate per sweep point on the same universe.
@@ -338,9 +317,7 @@ func EvaluateSweep(ev *Evaluator, src mc.Source, n int, Ts []float64) (SweepRepo
 	if err != nil {
 		return SweepReport{}, err
 	}
-	consume, report := sw.Pass(n)
-	src.ForEachBatch(n, consume)
-	return report(), nil
+	return EvaluateMany(src, n, sw)[0], nil
 }
 
 // TallyRange runs one shared realization pass over chips [lo, hi) of src
@@ -368,8 +345,8 @@ func TallyRange(src mc.Source, lo, hi int, sweeps ...*SweepEvaluator) []SweepTal
 
 // TallyRangeZero is the zero-only form of TallyRange: one shared
 // realization pass over chips [lo, hi) feeding every sweep's step-1
-// threshold search only. Partial tallies carry FirstZero alone and merge
-// via SweepTally.MergeZero.
+// threshold search only. Partial tallies carry FirstZero alone (the
+// zero-only wave shape).
 //
 //contract:allocfree
 func TallyRangeZero(src mc.Source, lo, hi int, sweeps ...*SweepEvaluator) []SweepTally {
@@ -391,18 +368,15 @@ func TallyRangeZero(src mc.Source, lo, hi int, sweeps ...*SweepEvaluator) []Swee
 
 // EvaluateMany runs one shared realization pass over src feeding every
 // sweep — one per strategy or period grid — and returns their reports in
-// order. This is the batched form of the (period, strategy) query matrix:
-// n chips are realized once in total, not once per query.
+// order: Drive's fixed-n pass on the in-process backend. This is the
+// batched form of the (period, strategy) query matrix: n chips are
+// realized once in total, not once per query.
 func EvaluateMany(src mc.Source, n int, sweeps ...*SweepEvaluator) []SweepReport {
-	consumes := make([]func(k int, ch *timing.Chip), len(sweeps))
-	reports := make([]func() SweepReport, len(sweeps))
-	for i, sw := range sweeps {
-		consumes[i], reports[i] = sw.Pass(n)
+	res, err := Drive(context.Background(), Local(src, sweeps...), n, Precision{}, sweeps...)
+	if err != nil {
+		// Background waves on the in-process backend cannot be cancelled,
+		// and their tallies are complete by construction.
+		panic(err)
 	}
-	src.ForEachBatch(n, consumes...)
-	out := make([]SweepReport, len(sweeps))
-	for i, rep := range reports {
-		out[i] = rep()
-	}
-	return out
+	return res.Reports
 }

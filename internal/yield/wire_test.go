@@ -36,8 +36,9 @@ func TestTalliesRoundTrip(t *testing.T) {
 }
 
 func TestTalliesPreserveZeroOnlyNil(t *testing.T) {
-	// MergeZero vs Merge dispatch on FirstTuned presence; the codec must
-	// not normalize a zero-only tally into a full one or vice versa.
+	// CheckWave tells zero-only from joint partials by FirstTuned presence;
+	// the codec must not normalize a zero-only tally into a full one or
+	// vice versa.
 	ts := []SweepTally{{FirstZero: []int{7, 7}, FirstTuned: nil}}
 	var tb TallyBuf
 	r := wire.NewReader(AppendTallies(nil, ts))
