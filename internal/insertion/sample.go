@@ -94,6 +94,13 @@ type sampleSolver struct {
 	csum  []lp.Term
 	xSol  []float64 // per-comp tuning values surviving across the 2nd solve
 
+	// Equivalence-test hooks, zero in production: bbOpt is passed to every
+	// branch-and-bound solve, and onComponent, when set, receives each
+	// component's min-count nk and concentration objective (NaN when that
+	// solve did not run or failed).
+	bbOpt       milp.Options
+	onComponent func(nk int, conc float64)
+
 	// epoch-stamped maps replacing per-build allocations: posIdx[ff] is the
 	// index of ff in the current component iff posEpoch[ff] == epoch, and a
 	// pair's rows are already added iff seenEpoch[p] == epoch.
@@ -313,11 +320,15 @@ func (s *sampleSolver) expands(p int) bool {
 func (s *sampleSolver) solveComponent(comp []int) (int, bool) {
 	xVar, cVar := s.buildProblem(comp)
 	prob := s.prob
-	solA, err := prob.SolveArena(&s.arena, milp.Options{})
+	solA, err := prob.SolveArena(&s.arena, s.bbOpt)
 	if err != nil || solA.Status != lp.Optimal {
 		return 0, false
 	}
 	nk := int(math.Round(solA.Obj))
+	conc := math.NaN()
+	if s.onComponent != nil {
+		defer func() { s.onComponent(nk, conc) }()
+	}
 	if nk == 0 {
 		// Reachable, but only for hairline violations: every component
 		// contains an endpoint of a violated pair (components grow from
@@ -349,8 +360,9 @@ func (s *sampleSolver) solveComponent(comp []int) (int, bool) {
 		for idx, ff := range comp {
 			prob.AbsLinearization(xVar[idx], s.center[ff], 1, "t")
 		}
-		sol2, err := prob.SolveArena(&s.arena, milp.Options{})
+		sol2, err := prob.SolveArena(&s.arena, s.bbOpt)
 		if err == nil && sol2.Status == lp.Optimal {
+			conc = sol2.Obj
 			for idx := range comp {
 				s.xSol[idx] = sol2.X[xVar[idx]]
 			}

@@ -16,8 +16,10 @@
 //
 // Beyond the cold two-phase primal solve (SolveWS), the workspace supports
 // warm restarts for branch-and-bound: SaveBasis snapshots the optimal basis
-// of the last solve, SolveFromBasis refactorizes that basis under new
-// variable bounds, and ResolveBound continues directly from the live tableau
+// of the last solve, SolveFromBasis restores that basis under new variable
+// bounds — by exchanging the few differing columns on the factorization
+// still loaded in the workspace, or by refactorizing a rebuilt tableau when
+// none fits — and ResolveBound continues directly from the live tableau
 // after a single bound tightening. Both warm paths reoptimize with a
 // bounded-variable dual simplex — the restored basis stays dual feasible
 // because the objective is unchanged, so a handful of dual pivots restore
@@ -104,6 +106,9 @@ type Problem struct {
 	names  []string
 	rows   []row
 	terms  []Term // shared arena backing all rows
+	// rev counts structural edits (Reset, AddVar, AddRow), so a workspace
+	// can tell that the factorization it holds is still of this matrix.
+	rev uint64
 }
 
 // NewProblem returns an empty problem.
@@ -117,6 +122,7 @@ func (p *Problem) Reset() {
 	p.names = p.names[:0]
 	p.rows = p.rows[:0]
 	p.terms = p.terms[:0]
+	p.rev++
 }
 
 // AddVar adds a variable with bounds [lo, hi] (use ±Inf for free sides) and
@@ -129,6 +135,7 @@ func (p *Problem) AddVar(lo, hi, obj float64, name string) int {
 	p.lo = append(p.lo, lo)
 	p.hi = append(p.hi, hi)
 	p.names = append(p.names, name)
+	p.rev++
 	return len(p.obj) - 1
 }
 
@@ -166,6 +173,7 @@ func (p *Problem) AddRow(rel Rel, rhs float64, terms ...Term) int {
 	off := len(p.terms)
 	p.terms = append(p.terms, terms...)
 	p.rows = append(p.rows, row{off: off, n: len(terms), rel: rel, rhs: rhs})
+	p.rev++
 	return len(p.rows) - 1
 }
 
@@ -240,7 +248,8 @@ type mapping struct {
 //
 // After a successful optimal solve the workspace additionally retains the
 // solved state (dimensions, factorized tableau, basis, column bounds), which
-// SaveBasis snapshots and ResolveBound continues from.
+// SaveBasis snapshots, ResolveBound continues from, and SolveFromBasis
+// exchanges columns on.
 type Workspace struct {
 	maps    []mapping
 	tab     []float64 // m × total flat tableau (basis inverse applied)
@@ -254,15 +263,31 @@ type Workspace struct {
 	red     []float64
 	colVal  []float64
 	x       []float64
-	rowUsed []bool // m: refactorization scratch
+	snap    []bool // total: exchange scratch, column is basic in the snapshot
 
 	// Solved-state metadata for warm restarts. live reports that the fields
 	// above describe a completed optimal solve of a problem with n vars and
-	// m rows; any new solve clears it until it completes.
-	live                bool
+	// m rows; any new solve clears it until it completes. fact reports the
+	// weaker state a basis exchange needs: the tableau is B⁻¹A of src (at
+	// revision srcRev) under the layout below, with xB, flags and column
+	// bounds consistent with it. Every simplex pivot and bound flip keeps
+	// that true, so fact survives the Infeasible and ErrWarmStall exits of
+	// a warm solve; only rebuilding the raw tableau (SolveWS, or a restore
+	// that falls back to refactorizing) clears it until the new
+	// factorization is complete. pivots counts the pivots since the raw
+	// build, which bounds how far rounding drift can have accumulated.
+	live, fact          bool
+	pivots              int
+	src                 *Problem
+	srcRev              uint64
 	n, m, stride, total int
 	ncols, artStart     int
 	constShift          float64
+
+	// Rebuilds counts SolveFromBasis calls that rebuilt and refactorized
+	// the raw tableau instead of exchanging columns on the loaded
+	// factorization: none fit, or it was due for a refresh.
+	Rebuilds int
 }
 
 // grow returns s resized to n, reusing capacity when possible. Contents are
@@ -335,6 +360,7 @@ func (p *Problem) buildRaw(ws *Workspace, ncols int) (m, stride, total, artStart
 	xB := ws.xB
 	ws.basis = grow(ws.basis, m)
 	basis := ws.basis
+	ws.pivots = 0
 	slackIdx := ncols
 	for i := range p.rows {
 		r := &p.rows[i]
@@ -434,13 +460,23 @@ func (ws *Workspace) recoverX(m, stride, total, n int) []float64 {
 	return x
 }
 
-// markSolved records the solved-state metadata that SaveBasis and
-// ResolveBound rely on.
-func (ws *Workspace) markSolved(n, m, stride, total, ncols, artStart int, constShift float64) {
-	ws.n, ws.m, ws.stride, ws.total = n, m, stride, total
+// setLayout records the problem, dimensions and frame of the tableau now
+// loaded in the workspace.
+func (ws *Workspace) setLayout(p *Problem, m, stride, total, ncols, artStart int) {
+	ws.src, ws.srcRev = p, p.rev
+	ws.n, ws.m, ws.stride, ws.total = len(p.obj), m, stride, total
 	ws.ncols, ws.artStart = ncols, artStart
-	ws.constShift = constShift
-	ws.live = true
+}
+
+// markSolved records that the loaded tableau is an optimal, consistent
+// factorization that SaveBasis, ResolveBound and SolveFromBasis rely on.
+func (ws *Workspace) markSolved() {
+	ws.live, ws.fact = true, true
+}
+
+// holds reports whether the workspace's metadata describes p as it is now.
+func (ws *Workspace) holds(p *Problem) bool {
+	return ws.src == p && ws.srcRev == p.rev && ws.n == len(p.obj) && ws.m == len(p.rows)
 }
 
 // SolveWS runs the two-phase simplex borrowing all memory from ws. The
@@ -450,7 +486,7 @@ func (ws *Workspace) markSolved(n, m, stride, total, ncols, artStart int, constS
 //
 //contract:allocfree
 func (p *Problem) SolveWS(ws *Workspace) (Solution, error) {
-	ws.live = false
+	ws.live, ws.fact = false, false
 	n := len(p.obj)
 	// Quick bound sanity: empty boxes are infeasible outright.
 	for j := 0; j < n; j++ {
@@ -580,7 +616,9 @@ func (p *Problem) SolveWS(ws *Workspace) (Solution, error) {
 	}
 
 	x := ws.recoverX(m, stride, total, n)
-	ws.markSolved(n, m, stride, total, ncols, artStart, constShift)
+	ws.setLayout(p, m, stride, total, ncols, artStart)
+	ws.constShift = constShift
+	ws.markSolved()
 	return Solution{Status: Optimal, Obj: obj + constShift, X: x}, nil
 }
 
@@ -920,6 +958,51 @@ func (ws *Workspace) pivotTo(m, stride, width, row, col int) {
 	}
 	ws.basis[row] = col
 	ws.inBasis[col] = true
+	ws.pivots++
+}
+
+// pivotCarry is pivotTo with the basic values carried along: xB is the
+// right-hand-side column of the tableau, so it takes the same row
+// operations.
+func (ws *Workspace) pivotCarry(m, stride, width, row, col int) {
+	tab, xB := ws.tab, ws.xB
+	xB[row] *= 1 / tab[row*stride+col]
+	for i := 0; i < m; i++ {
+		if f := tab[i*stride+col]; i != row && f != 0 {
+			xB[i] -= f * xB[row]
+		}
+	}
+	ws.pivotTo(m, stride, width, row, col)
+}
+
+// shiftResting adds sign·Σ A_j·val_j over the non-basic real columns j to
+// xB, where val_j is the bound column j rests at and A_j its tableau
+// column. With sign −1 it turns a right-hand side into the basic values;
+// with sign +1 it folds the basic values back into B⁻¹b. Artificial columns
+// rest at zero and are skipped (phase 2 leaves their tableau columns
+// stale). Reports false on a resting value at ±∞.
+func (ws *Workspace) shiftResting(m, stride, width int, sign float64) bool {
+	tab, xB := ws.tab, ws.xB
+	for j := 0; j < width; j++ {
+		if ws.inBasis[j] {
+			continue
+		}
+		v := ws.clo[j]
+		if ws.atUpper[j] {
+			v = ws.ub[j]
+		}
+		if v == 0 {
+			continue
+		}
+		if math.IsInf(v, 0) {
+			return false
+		}
+		v *= sign
+		for i := 0; i < m; i++ {
+			xB[i] += tab[i*stride+j] * v
+		}
+	}
+	return true
 }
 
 // Basis is a compact snapshot of an optimal simplex basis: the basic column
@@ -989,14 +1072,22 @@ func (p *Problem) columnBounds(ws *Workspace, ncols, artStart, total int) bool {
 // SolveFromBasis reoptimizes the problem starting from a previously saved
 // basis instead of from scratch. The snapshot must come from a solve of the
 // same problem shape — same variables, rows, and bound-finiteness layout —
-// under possibly different variable bounds: the branch-and-bound child
-// situation, where a child differs from its parent in exactly one tightened
-// bound. The restored basis is refactorized (m pivots), stays dual feasible
-// because the objective is unchanged, and a bounded-variable dual simplex
-// walks it back to primal feasibility — typically a handful of pivots,
-// against the dozens a cold two-phase solve needs. On ErrBasisMismatch or
-// ErrWarmStall the problem is untouched and callers fall back to SolveWS.
-// The returned Solution.X aliases ws, as with SolveWS.
+// under possibly different variable bounds: the branch-and-bound situation,
+// where a queued node differs from its parent in one tightened bound.
+//
+// When the workspace still holds a factorization of the same problem and
+// layout (the end of a dive, typically a few columns away from the
+// snapshot), the snapshot basis is reached by exchanging its missing
+// columns in on the loaded tableau — one or two pivots instead of m.
+// Otherwise, or once that factorization has run more than refreshAfter(m)
+// pivots since it was built raw, the raw tableau is rebuilt and
+// refactorized (up to m pivots), counted in ws.Rebuilds. Either way the
+// restored basis stays dual feasible because the objective is unchanged,
+// and a bounded-variable dual simplex walks it back to primal feasibility —
+// typically a handful of pivots, against the dozens a cold two-phase solve
+// needs. On ErrBasisMismatch or ErrWarmStall the problem is untouched and
+// callers fall back to SolveWS. The returned Solution.X aliases ws, as with
+// SolveWS.
 func (p *Problem) SolveFromBasis(ws *Workspace, b *Basis) (Solution, error) {
 	ws.live = false
 	n := len(p.obj)
@@ -1008,63 +1099,97 @@ func (p *Problem) SolveFromBasis(ws *Workspace, b *Basis) (Solution, error) {
 			return Solution{Status: Infeasible}, nil
 		}
 	}
-	ws.maps = grow(ws.maps, n)
+	if !p.exchangeBasis(ws, b) {
+		ws.Rebuilds++
+		if !p.rebuildBasis(ws, b) {
+			return Solution{}, ErrBasisMismatch
+		}
+	}
+	ws.cost = grow(ws.cost, ws.total)
+	ws.red = grow(ws.red, ws.total)
+	ws.constShift = p.setPhase2Cost(ws, ws.total)
+	return p.finishWarm(ws)
+}
+
+// exchangeBasis moves the factorization loaded in ws to the snapshot basis:
+// fold the non-basic resting values back into xB (which then holds B⁻¹b)
+// and exchange columns (exchangeTo). It reports false — possibly after
+// pivoting, which leaves only a rebuild — when the workspace holds no
+// consistent factorization of p in the snapshot's layout, when the loaded
+// factorization has run more than refreshAfter(m) pivots since it was
+// built raw, or when exchangeTo fails.
+func (p *Problem) exchangeBasis(ws *Workspace, b *Basis) bool {
+	if !ws.fact || !ws.holds(p) || ws.total != b.total || ws.ncols != b.ncols || ws.pivots > refreshAfter(ws.m) {
+		return false
+	}
+	for v, mp := range b.maps {
+		if ws.maps[v] != mp {
+			return false
+		}
+	}
+	return ws.shiftResting(ws.m, ws.stride, ws.artStart, 1) && p.exchangeTo(ws, b)
+}
+
+// refreshAfter is the number of pivots a factorization may accumulate
+// since it was built raw before a restore refactorizes it afresh instead of
+// exchanging columns on it, bounding rounding drift over a long
+// branch-and-bound tree. A refactorization costs at most m pivots, so the
+// refresh adds at most a sixteenth to the pivot work.
+func refreshAfter(m int) int { return 16 * m }
+
+// rebuildBasis rebuilds the raw tableau under the snapshot's mapping and
+// refactorizes it to the snapshot basis. The raw tableau's basis is every
+// row's artificial (B = I, so xB holds B⁻¹b already), and reaching the
+// snapshot from it is an exchange like any other: each snapshot column
+// replaces an artificial the snapshot lacks. The matrix depends only on the
+// rows and the snapshot's mapping, so a basis that was nonsingular when
+// saved can only hit a near-zero pivot if the snapshot doesn't match the
+// problem. Reports false on such a mismatch.
+func (p *Problem) rebuildBasis(ws *Workspace, b *Basis) bool {
+	ws.fact = false
+	ws.maps = grow(ws.maps, b.n)
 	copy(ws.maps, b.maps)
 	m, stride, total, artStart := p.buildRaw(ws, b.ncols)
 	if total != b.total {
-		return Solution{}, ErrBasisMismatch
+		return false
 	}
-	if !p.columnBounds(ws, b.ncols, artStart, total) {
-		return Solution{}, ErrBasisMismatch
-	}
-	clo, ub := ws.clo, ws.ub
-
-	// Restore flags.
 	ws.atUpper = grow(ws.atUpper, total)
-	copy(ws.atUpper, b.atUpper)
 	ws.inBasis = grow(ws.inBasis, total)
 	clear(ws.inBasis)
-	for _, c := range b.basis {
-		if c < 0 || c >= total || ws.inBasis[c] {
-			return Solution{}, ErrBasisMismatch
-		}
-		ws.inBasis[c] = true
+	for i := 0; i < m; i++ {
+		ws.inBasis[artStart+i] = true
 	}
+	ws.setLayout(p, m, stride, total, b.ncols, artStart)
+	ws.fact = p.exchangeTo(ws, b)
+	return ws.fact
+}
 
-	// Fold the non-basic resting values into the right-hand side: the basic
-	// values solve B·xB = b − Σ_{non-basic j} A_j·val_j.
-	tab, xB := ws.tab, ws.xB
-	for j := 0; j < total; j++ {
-		if ws.inBasis[j] {
+// exchangeTo moves the loaded factorization, whose xB holds B⁻¹b, to the
+// snapshot basis: pivot each snapshot column that is not basic in over the
+// working width in place of a basic column the snapshot lacks (largest
+// |pivot| row, partial pivoting), carrying xB; take the snapshot's resting
+// sides; re-express the problem's current bounds; and subtract the new
+// resting values from xB. It reports false when the snapshot needs an
+// artificial column that is not basic (phase 2 leaves those columns
+// stale), when no pivot exceeds 1e-8, or when a resting value is infinite.
+func (p *Problem) exchangeTo(ws *Workspace, b *Basis) bool {
+	m, stride, width, total := ws.m, ws.stride, ws.artStart, ws.total
+	ws.snap = grow(ws.snap, total)
+	clear(ws.snap)
+	for _, c := range b.basis {
+		if c < 0 || c >= total || ws.snap[c] || (c >= width && !ws.inBasis[c]) {
+			return false
+		}
+		ws.snap[c] = true
+	}
+	tab, basis := ws.tab, ws.basis
+	for _, c := range b.basis {
+		if ws.inBasis[c] {
 			continue
 		}
-		v := clo[j]
-		if ws.atUpper[j] {
-			v = ub[j]
-		}
-		if v == 0 {
-			continue
-		}
-		if math.IsInf(v, 0) {
-			return Solution{}, ErrBasisMismatch
-		}
-		for i := 0; i < m; i++ {
-			xB[i] -= tab[i*stride+j] * v
-		}
-	}
-
-	// Refactorize: pivot each snapshot-basic column back in, choosing the
-	// largest remaining pivot row (partial pivoting) and carrying the
-	// right-hand side along. The matrix depends only on the rows and the
-	// snapshot's mapping, so a basis that was nonsingular when saved can
-	// only hit a near-zero pivot if the snapshot doesn't match the problem.
-	ws.rowUsed = grow(ws.rowUsed, m)
-	clear(ws.rowUsed)
-	basis := ws.basis
-	for _, c := range b.basis {
 		r, bestA := -1, 1e-8
 		for i := 0; i < m; i++ {
-			if ws.rowUsed[i] {
+			if ws.snap[basis[i]] {
 				continue
 			}
 			if a := math.Abs(tab[i*stride+c]); a > bestA {
@@ -1072,43 +1197,20 @@ func (p *Problem) SolveFromBasis(ws *Workspace, b *Basis) (Solution, error) {
 			}
 		}
 		if r == -1 {
-			return Solution{}, ErrBasisMismatch
+			return false
 		}
-		ws.rowUsed[r] = true
-		basis[r] = c
-		pr := tab[r*stride : r*stride+stride]
-		inv := 1 / pr[c]
-		for k := range pr {
-			pr[k] *= inv
-		}
-		pr[c] = 1 // exact
-		xB[r] *= inv
-		for i := 0; i < m; i++ {
-			if i == r {
-				continue
-			}
-			ri := tab[i*stride : i*stride+stride]
-			f := ri[c]
-			if f == 0 {
-				continue
-			}
-			for k, v := range pr {
-				ri[k] -= f * v
-			}
-			ri[c] = 0 // exact
-			xB[i] -= f * xB[r]
-		}
+		ws.inBasis[basis[r]] = false
+		ws.pivotCarry(m, stride, width, r, c)
 	}
-
-	ws.cost = grow(ws.cost, total)
-	ws.red = grow(ws.red, total)
-	constShift := p.setPhase2Cost(ws, total)
-	return p.finishWarm(ws, m, stride, total, b.ncols, artStart, constShift)
+	copy(ws.atUpper, b.atUpper)
+	return p.columnBounds(ws, ws.ncols, width, total) && ws.shiftResting(m, stride, width, -1)
 }
 
 // finishWarm runs the dual reoptimization, the primal cleanup, and the
-// solution recovery shared by SolveFromBasis and ResolveBound.
-func (p *Problem) finishWarm(ws *Workspace, m, stride, total, ncols, artStart int, constShift float64) (Solution, error) {
+// solution recovery shared by SolveFromBasis and ResolveBound, on the
+// tableau and layout loaded in ws.
+func (p *Problem) finishWarm(ws *Workspace) (Solution, error) {
+	m, stride, total, artStart := ws.m, ws.stride, ws.total, ws.artStart
 	st, err := ws.runDualSimplex(m, stride, artStart, dualCap(m, artStart))
 	if err != nil {
 		return Solution{}, err
@@ -1126,8 +1228,8 @@ func (p *Problem) finishWarm(ws *Workspace, m, stride, total, ncols, artStart in
 		return Solution{Status: Unbounded}, nil
 	}
 	x := ws.recoverX(m, stride, total, len(p.obj))
-	ws.markSolved(len(p.obj), m, stride, total, ncols, artStart, constShift)
-	return Solution{Status: Optimal, Obj: obj + constShift, X: x}, nil
+	ws.markSolved()
+	return Solution{Status: Optimal, Obj: obj + ws.constShift, X: x}, nil
 }
 
 // ResolveBound reoptimizes the workspace's live solved state after variable
@@ -1141,7 +1243,7 @@ func (p *Problem) finishWarm(ws *Workspace, m, stride, total, ncols, artStart in
 // column layout cannot express the new bounds, ErrWarmStall on a dual
 // stall; callers then fall back to SolveFromBasis or SolveWS.
 func (p *Problem) ResolveBound(ws *Workspace, v int, lo, hi float64) (Solution, error) {
-	if !ws.live || ws.n != len(p.obj) || ws.m != len(p.rows) || v < 0 || v >= ws.n {
+	if !ws.live || !ws.holds(p) || v < 0 || v >= ws.n {
 		return Solution{}, ErrNotWarm
 	}
 	ws.live = false
@@ -1185,5 +1287,5 @@ func (p *Problem) ResolveBound(ws *Workspace, v int, lo, hi float64) (Solution, 
 		}
 	}
 	ws.clo[col], ws.ub[col] = nlo, nub
-	return p.finishWarm(ws, m, stride, ws.total, ws.ncols, ws.artStart, ws.constShift)
+	return p.finishWarm(ws)
 }

@@ -11,9 +11,13 @@
 // through lp.ResolveBound — the parent's factorized tableau is still loaded,
 // so the child costs a few dual-simplex pivots — while the sibling is queued
 // with a pooled snapshot of the parent basis and later reoptimized through
-// lp.SolveFromBasis. The cold two-phase solve remains the fallback whenever
-// a warm path stalls, and results are identical either way (the incumbent
-// objective is recomputed exactly from the snapped integral point).
+// lp.SolveFromBasis. That restore exchanges the few columns by which the
+// snapshot differs from the basis the dive ended on, on the tableau still
+// loaded in the shared workspace; rebuilding and refactorizing the tableau
+// is only its internal fallback. The cold two-phase solve remains the
+// fallback whenever a warm path stalls, and results are identical either
+// way (the incumbent objective is recomputed exactly from the snapped
+// integral point).
 package milp
 
 import (
@@ -122,11 +126,14 @@ type node struct {
 
 // SolveStats counts how branch-and-bound nodes were solved, cumulatively
 // per Arena: Hot nodes continued the live parent factorization
-// (lp.ResolveBound), Warm nodes refactorized a pooled parent basis
-// (lp.SolveFromBasis), Cold nodes ran the two-phase simplex, and Fallbacks
-// counts warm attempts that bailed to cold (stall or mismatch).
+// (lp.ResolveBound), Warm nodes restored a pooled parent basis
+// (lp.SolveFromBasis), of which Rebuilt rebuilt and refactorized the raw
+// tableau instead of exchanging columns on the loaded one (none fit, or it
+// was due for its drift refresh), Cold nodes
+// ran the two-phase simplex, and Fallbacks counts warm attempts that bailed
+// to cold (stall or mismatch).
 type SolveStats struct {
-	Hot, Warm, Cold, Fallbacks int
+	Hot, Warm, Rebuilt, Cold, Fallbacks int
 }
 
 // Arena holds all reusable branch-and-bound memory: the simplex workspace
@@ -211,8 +218,9 @@ func (p *Problem) Solve(opt Options) (Solution, error) {
 // immediately on the still-loaded parent factorization (hot), its sibling
 // is queued with a snapshot of the parent basis; when a dive bottoms out
 // (integral, pruned, or infeasible), the smallest-bound queued node is
-// restored from its snapshot (warm). Any warm failure falls back to the
-// cold two-phase solve, so the search is exact regardless of path.
+// restored from its snapshot (warm) by column exchange on the factorization
+// the dive left loaded. Any warm failure falls back to the cold two-phase
+// solve, so the search is exact regardless of path.
 //
 //contract:allocfree
 func (p *Problem) SolveArena(a *Arena, opt Options) (Solution, error) {
@@ -273,10 +281,14 @@ func (p *Problem) SolveArena(a *Arena, opt Options) (Solution, error) {
 			for v := 0; v < n; v++ {
 				p.LP.SetBounds(v, nd.lo[v], nd.hi[v])
 			}
+			rebuilds := a.ws.Rebuilds
 			s, err := p.LP.SolveFromBasis(&a.ws, nd.basis)
 			restore()
 			if err == nil {
 				a.Stats.Warm++
+				if a.ws.Rebuilds != rebuilds {
+					a.Stats.Rebuilt++
+				}
 				return s, nil
 			}
 			a.Stats.Fallbacks++

@@ -226,6 +226,42 @@ func TestSolveArenaWarmZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestRestoresExchangeWithoutRebuild: on a multi-node min-count tree every
+// queued node is restored by column exchange on the factorization its dive
+// left loaded — none falls back to rebuilding the raw tableau.
+func TestRestoresExchangeWithoutRebuild(t *testing.T) {
+	p := NewProblem()
+	const n = 8
+	var xs, cs [n]int
+	for v := 0; v < n; v++ {
+		xs[v] = p.AddVar(Continuous, -50, 50, 0, "x")
+		cs[v] = p.AddVar(Binary, 0, 1, 1, "c")
+		p.Indicator(xs[v], cs[v], 50)
+	}
+	for v := 0; v < n-1; v++ {
+		p.AddRow(lp.LE, float64(-10+v), lp.T(xs[v], 1), lp.T(xs[v+1], -1))
+	}
+	var arena Arena
+	warm, err := p.SolveArena(&arena, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := p.Solve(Options{NoWarm: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Status != cold.Status || warm.Obj != cold.Obj {
+		t.Fatalf("warm %+v, cold %+v", warm, cold)
+	}
+	st := arena.Stats
+	if warm.Nodes < 10 || st.Warm == 0 {
+		t.Fatalf("tree too small to exercise restores: %d nodes, %+v", warm.Nodes, st)
+	}
+	if st.Rebuilt != 0 || st.Fallbacks != 0 {
+		t.Fatalf("restores fell back: %+v", st)
+	}
+}
+
 // FuzzSolveArenaWarm cross-checks warm-started branch-and-bound against the
 // cold path and the brute-force oracle on fuzzer-driven integer problems.
 func FuzzSolveArenaWarm(f *testing.F) {

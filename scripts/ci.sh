@@ -262,14 +262,18 @@ fi
 
 if [ "$stage" = "all" ] || [ "$stage" = "fuzz" ]; then
     echo "== fuzz (solver equivalence + wire round-trip, short budget) =="
-    # Cross-check the warm-start solver paths against cold solves and the
-    # brute-force oracle, and hammer the shard wire decoders with arbitrary
-    # frames (must reject or round-trip, never panic). Off by default
-    # (it adds ~2x CI_FUZZ_TIME of wall time); the CI workflow enables it.
+    # Cross-check the warm-start solver paths (restore by rebuild, restore
+    # by column exchange on a moved workspace, whole branch-and-bound)
+    # against cold solves and the brute-force oracle, and hammer the shard
+    # wire decoders with arbitrary frames (must reject or round-trip, never
+    # panic). Off by default (it adds ~4x CI_FUZZ_TIME of wall time); the CI
+    # workflow enables it. The patterns are anchored: -fuzz must match
+    # exactly one target per run.
     if [ "${CI_FUZZ:-off}" = "on" ]; then
         fuzztime="${CI_FUZZ_TIME:-10s}"
-        go test -run '^$' -fuzz 'FuzzSolveFromBasis' -fuzztime "$fuzztime" ./internal/lp
-        go test -run '^$' -fuzz 'FuzzSolveArenaWarm' -fuzztime "$fuzztime" ./internal/milp
+        go test -run '^$' -fuzz '^FuzzSolveFromBasis$' -fuzztime "$fuzztime" ./internal/lp
+        go test -run '^$' -fuzz '^FuzzSolveFromBasisExchange$' -fuzztime "$fuzztime" ./internal/lp
+        go test -run '^$' -fuzz '^FuzzSolveArenaWarm$' -fuzztime "$fuzztime" ./internal/milp
         go test -run '^$' -fuzz 'FuzzWireRoundTrip' -fuzztime "$fuzztime" ./internal/serve
     else
         echo "skipped (CI_FUZZ=off)"
