@@ -17,8 +17,10 @@
 // contiguous k-ranges go to the workers' /v1/shard/* endpoints, their
 // k-indexed partials merge into byte-identical final stats, and ranges of
 // failed workers are re-dispatched (degrading to in-process execution with
-// every worker down). -worker marks a process as a dedicated worker (it
-// refuses -workers so a worker never fans out itself).
+// every worker down). It is the one coordinator of sharded runs: table1
+// and yieldeval reach it with -server. -worker marks a process as a
+// dedicated worker (it refuses -workers so a worker never fans out
+// itself).
 //
 // -store names a directory for the persistent prepared-bench store:
 // first prepares write checksummed snapshots of the SSTA state there, and

@@ -9,7 +9,10 @@
 // With -server the preparation, insertion, and yield measurement run in a
 // bufinsd daemon, so regenerating the table over an already-warm cache
 // skips the per-circuit SSTA; the reported numbers are identical (the
-// runtime column then measures the daemon-side flow time).
+// runtime column then measures the daemon-side flow time). To shard the
+// Monte Carlo sample loops across machines, point -server at a bufinsd
+// started with -workers: that daemon is the one coordinator of shard
+// workers, and the rows stay byte-identical.
 //
 // Usage:
 //
@@ -31,10 +34,9 @@ import (
 
 	"repro/internal/expt"
 	"repro/internal/gen"
-	"repro/internal/insertion"
 	"repro/internal/serve"
-	"repro/internal/shard"
 	"repro/internal/tabular"
+	"repro/internal/yield"
 )
 
 // fatalf is the single failure path: message to stderr, non-zero exit, so
@@ -53,18 +55,9 @@ func main() {
 		csv      = flag.Bool("csv", false, "emit CSV instead of the aligned table")
 		eps      = flag.Float64("eps", 0, "adaptive yield precision: stop sampling once every row's yield is known to ±eps (0 = exact -eval chips)")
 		conf     = flag.Float64("conf", 0, "adaptive confidence level (0 = 0.95; only with -eps)")
-		server   = flag.String("server", "", "bufinsd base URL: run the flow in the daemon instead of in-process")
-		workers  = flag.String("workers", "", "comma-separated shard-worker bufinsd URLs: shard the sample loops across them (coordinating from this process)")
-		shards   = flag.Int("shards", 0, "k-ranges per sharded pass (0 = 4 per worker)")
-
-		rangeTimeout = flag.Duration("range-timeout", 0, "per-attempt deadline for one sharded range (0 = transport timeout only)")
-		retries      = flag.Int("retries", 0, "worker attempts per range before in-process fallback (0 = default 4)")
-		hedge        = flag.Float64("hedge", 0, "hedge stragglers outstanding this many multiples of the mean range latency (0 = default 3, negative disables)")
+		server   = flag.String("server", "", "bufinsd base URL: run the flow in the daemon instead of in-process (a -workers daemon shards it)")
 	)
 	flag.Parse()
-	if *server != "" && *workers != "" {
-		fatalf("-server and -workers are mutually exclusive")
-	}
 
 	names := make([]string, 0, len(gen.Presets))
 	if *circuits == "" {
@@ -77,33 +70,29 @@ func main() {
 		}
 	}
 
-	// One pool for the whole table: worker health and shard counters carry
-	// across circuits (a worker that died on s9234 is not retried on every
-	// later circuit — the per-pass probe revives it if it comes back).
-	var pool *shard.Pool
-	if *workers != "" {
-		pool = shard.NewPoolWith(strings.Split(*workers, ","), shard.Options{
-			RangeTimeout:  *rangeTimeout,
-			MaxAttempts:   *retries,
-			HedgeMultiple: *hedge,
-		})
-	}
-
-	// ctx covers every sharded pass of the table: ^C releases all in-flight
-	// worker ranges instead of leaking minutes of solver work.
+	// ctx covers the whole table: ^C aborts the in-process yield pass, or
+	// hangs up on the daemon, whose request context then releases its
+	// in-flight work.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	tb := tabular.New("Circuit", "ns", "ng", "target", "T(ps)", "Nb", "Ab", "Yo(%)", "Y(%)", "Yi(%)", "T(s)")
 	tb.SetTitle(fmt.Sprintf("Table I reproduction (%d insertion samples, %d eval chips)", *samples, *evalN))
 	grand := time.Now()
+	rc := expt.RowConfig{
+		InsertSamples: *samples,
+		EvalSamples:   *evalN,
+		Seed:          *seed,
+		Eps:           *eps,
+		Conf:          *conf,
+	}
 	for _, name := range names {
 		var rows []expt.Row
 		var err error
 		if *server != "" {
-			rows, err = serverRows(*server, name, *samples, *evalN, *seed, *eps, *conf)
+			rows, err = serverRows(ctx, *server, serve.CircuitSpec{Preset: name}, expt.Options{}, rc)
 		} else {
-			rows, err = localRows(ctx, pool, *shards, name, *samples, *evalN, *seed, *eps, *conf)
+			rows, err = localRows(ctx, name, rc)
 		}
 		if err != nil {
 			fatalf("%v", err)
@@ -132,67 +121,46 @@ func main() {
 }
 
 // localRows prepares the bench in-process and runs the shared-evaluation
-// row batch. With a worker pool, every Monte Carlo sample loop — the
-// flow's step-1/B1/step-2 passes and the yield evaluation — shards across
-// the workers instead; rows are byte-identical either way (the reductions
-// are shared code over merged k-indexed partials), only the runtime
-// column reflects the distributed schedule.
-func localRows(ctx context.Context, pool *shard.Pool, shards int, name string, samples, evalN int, seed uint64, eps, conf float64) ([]expt.Row, error) {
+// row batch.
+func localRows(ctx context.Context, name string, rc expt.RowConfig) ([]expt.Row, error) {
 	b, err := expt.PreparePreset(name, expt.Options{})
 	if err != nil {
 		return nil, err
 	}
 	fmt.Fprintf(os.Stderr, "%s: µT=%.1f σT=%.1f (hold-viol rate %.4f)\n",
 		name, b.Period.Mu, b.Period.Sigma, b.Period.HoldViolRate)
-	rc := expt.RowConfig{
-		InsertSamples: samples,
-		EvalSamples:   evalN,
-		Seed:          seed,
-		Eps:           eps,
-		Conf:          conf,
-	}
-	if pool != nil {
-		coord := serve.NewCoordinator(pool, shards,
-			serve.CircuitSpec{Preset: name}, expt.Options{},
-			b, insertion.NewRunner(b.Graph, b.Placement))
-		// The Pass hook is ctx-free; bind the run context here so the expt
-		// layer stays ignorant of the dispatch plane.
-		rc.Pass = func(cfg insertion.Config) insertion.PassFunc { return coord.InsertPass(ctx, cfg) }
-		rc.Waves = coord.PlanWaves
-	}
 	// One shared evaluation pass measures all three targets' yields: the
 	// fresh-chip population is realized once per circuit.
 	return expt.RunRowsContext(ctx, b, expt.Targets, rc)
 }
 
-// serverRows reproduces the same rows through a bufinsd daemon: one
-// prepare, one insert per target, and a single batched yield request — the
-// daemon realizes the evaluation population once per circuit, exactly like
-// the in-process shared pass.
-func serverRows(base, name string, samples, evalN int, seed uint64, eps, conf float64) ([]expt.Row, error) {
-	cl := serve.NewClient(base)
-	spec := serve.CircuitSpec{Preset: name}
-	opt := expt.Options{}
+// serverRows reproduces the same rows through the bufinsd daemon at base:
+// one prepare, one insert per target, and a single batched yield request —
+// the daemon realizes the evaluation population once per circuit, exactly
+// like the in-process shared pass, and its results fold into the rows
+// through the same expt.FoldYields. Every request is bound to ctx.
+func serverRows(ctx context.Context, base string, spec serve.CircuitSpec, opt expt.Options, rc expt.RowConfig) ([]expt.Row, error) {
+	cl := serve.NewClient(base).WithContext(ctx)
 	prep, err := cl.Prepare(serve.PrepareRequest{Circuit: spec, Options: opt})
 	if err != nil {
 		return nil, err
 	}
 	fmt.Fprintf(os.Stderr, "%s: µT=%.1f σT=%.1f (hold-viol rate %.4f)\n",
-		name, prep.Mu, prep.Sigma, prep.HoldViolRate)
+		prep.Name, prep.Mu, prep.Sigma, prep.HoldViolRate)
 	rows := make([]expt.Row, len(expt.Targets))
 	yreq := serve.YieldRequest{
 		Circuit: spec, Options: opt,
-		EvalSamples: evalN, Seed: seed + 0x1000,
-		Eps: eps, Conf: conf,
+		EvalSamples: rc.EvalSamples, Seed: rc.Seed + 0x1000,
+		Eps: rc.Eps, Conf: rc.Conf,
 	}
 	for i, target := range expt.Targets {
 		k := float64(target)
 		ins, err := cl.Insert(serve.InsertRequest{
 			Circuit: spec, Options: opt,
-			TargetK: &k, Samples: samples, Seed: seed,
+			TargetK: &k, Samples: rc.InsertSamples, Seed: rc.Seed,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("insert %s@%v: %w", name, target, err)
+			return nil, fmt.Errorf("insert %s@%v: %w", prep.Name, target, err)
 		}
 		rows[i] = expt.Row{
 			Circuit: prep.Name,
@@ -208,22 +176,15 @@ func serverRows(base, name string, samples, evalN int, seed uint64, eps, conf fl
 	}
 	yld, err := cl.Yield(yreq)
 	if err != nil {
-		return nil, fmt.Errorf("yield %s: %w", name, err)
+		return nil, fmt.Errorf("yield %s: %w", prep.Name, err)
 	}
-	for i := range rows {
-		if eps > 0 {
-			rep := yld.Results[i].Adaptive[0]
-			rows[i].Yo = rep.Original[0].Estimate * 100
-			rows[i].Y = rep.Tuned[0].Estimate * 100
-			rows[i].Yi = rows[i].Y - rows[i].Yo
-			rows[i].Adaptive = &rep
-			continue
-		}
-		rep := yld.Results[i].Reports[0].At(0)
-		rows[i].Yo = rep.Original.Percent()
-		rows[i].Y = rep.Tuned.Percent()
-		rows[i].Yi = rep.Improvement()
-		rows[i].YieldRep = rep
+	var res yield.Result
+	for _, r := range yld.Results {
+		res.Reports = append(res.Reports, r.Reports...)
+		res.Adaptive = append(res.Adaptive, r.Adaptive...)
+	}
+	if err := expt.FoldYields(rows, res); err != nil {
+		return nil, fmt.Errorf("yield %s: %w", prep.Name, err)
 	}
 	return rows, nil
 }

@@ -12,12 +12,15 @@
 // With -server the preparation, insertion, and evaluation run inside a
 // bufinsd daemon instead of this process; the daemon executes the same
 // deterministic code on the same seeds, so the output is byte-identical —
-// the warm bench cache just answers repeat circuits in milliseconds.
+// the warm bench cache just answers repeat circuits in milliseconds. A
+// daemon started with -workers shards the sample loops across its shard
+// workers, still byte-identically: it is the one coordinator of sharded
+// runs, and -server is how this CLI reaches it.
 //
 // With -eps the evaluation is sequential: chips arrive in escalating waves
 // until every reported yield is known to ±eps at the -conf confidence level
-// (valid under optional stopping), with -eval as the sample cap. All three
-// backends run the identical wave schedule, and -eps 0 is exactly the
+// (valid under optional stopping), with -eval as the sample cap. Every
+// backend runs the identical wave schedule, and -eps 0 is exactly the
 // fixed-n pass.
 //
 // Usage:
@@ -35,15 +38,12 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/expt"
 	"repro/internal/insertion"
 	"repro/internal/mc"
 	"repro/internal/serve"
-	"repro/internal/shard"
 	"repro/internal/tabular"
 	"repro/internal/yield"
 )
@@ -65,8 +65,6 @@ type options struct {
 	periods       int
 	planFile      string
 	server        string
-	workers       string
-	shards        int
 
 	// Adaptive precision: eps > 0 evaluates sequentially (escalating waves,
 	// stopping once every reported yield is known to ±eps at confidence
@@ -74,22 +72,9 @@ type options struct {
 	eps  float64
 	conf float64
 
-	// Dispatch-plane tuning for -workers mode (zero values take the
-	// shard.Options defaults).
-	rangeTimeout time.Duration
-	retries      int
-	hedge        float64
-
+	// ctx bounds the run (nil = context.Background): ^C aborts the
+	// in-process evaluation, or hangs up on the daemon.
 	ctx context.Context
-}
-
-// dispatchOptions maps the CLI's dispatch flags onto the shard plane.
-func (o options) dispatchOptions() shard.Options {
-	return shard.Options{
-		RangeTimeout:  o.rangeTimeout,
-		MaxAttempts:   o.retries,
-		HedgeMultiple: o.hedge,
-	}
 }
 
 func main() {
@@ -103,16 +88,8 @@ func main() {
 	flag.Float64Var(&o.eps, "eps", 0, "adaptive precision: stop sampling once every reported yield is known to ±eps (0 = exact -eval chips)")
 	flag.Float64Var(&o.conf, "conf", 0, "adaptive confidence level (0 = 0.95; only with -eps)")
 	flag.StringVar(&o.planFile, "plan", "", "evaluate a saved buffer plan (JSON from bufins -saveplan) instead of running the flow")
-	flag.StringVar(&o.server, "server", "", "bufinsd base URL: run prepare/insert/yield in the daemon instead of in-process")
-	flag.StringVar(&o.workers, "workers", "", "comma-separated shard-worker bufinsd URLs: shard the sample loops across them (coordinating from this process)")
-	flag.IntVar(&o.shards, "shards", 0, "k-ranges per sharded pass (0 = 4 per worker)")
-	flag.DurationVar(&o.rangeTimeout, "range-timeout", 0, "per-attempt deadline for one sharded range (0 = transport timeout only)")
-	flag.IntVar(&o.retries, "retries", 0, "worker attempts per range before in-process fallback (0 = default 4)")
-	flag.Float64Var(&o.hedge, "hedge", 0, "hedge stragglers outstanding this many multiples of the mean range latency (0 = default 3, negative disables)")
+	flag.StringVar(&o.server, "server", "", "bufinsd base URL: run prepare/insert/yield in the daemon instead of in-process (a -workers daemon shards them)")
 	flag.Parse()
-	if o.server != "" && o.workers != "" {
-		fatalf("-server and -workers are mutually exclusive (point -workers at worker daemons and coordinate locally, or let one -server daemon coordinate)")
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	o.ctx = ctx
@@ -121,46 +98,31 @@ func main() {
 	}
 }
 
-// evalQuery is one plan (or its strategy expansion) × period sweep.
-type evalQuery struct {
-	plan       insertion.Plan
-	Ts         []float64
-	strategies bool
-}
-
-// evalResult pairs strategy names with their sweep reports; adaptive runs
-// fill adaptive (parallel to names) instead of reports.
-type evalResult struct {
-	names    []string
-	reports  []yield.SweepReport
-	adaptive []yield.AdaptiveReport
-}
-
 // origCell and tunedCell render one sweep point of one strategy as a table
 // cell: the exact percent for fixed-n runs, estimate±half-width (both in
 // percent) for adaptive ones.
-func (r evalResult) origCell(si, pi int) any {
-	if len(r.adaptive) > 0 {
-		p := r.adaptive[si].Original[pi]
+func origCell(r serve.YieldResult, si, pi int) any {
+	if len(r.Adaptive) > 0 {
+		p := r.Adaptive[si].Original[pi]
 		return fmt.Sprintf("%.2f±%.2f", p.Estimate*100, p.HalfWidth*100)
 	}
-	return r.reports[si].Original[pi].Percent()
+	return r.Reports[si].Original[pi].Percent()
 }
 
-func (r evalResult) tunedCell(si, pi int) any {
-	if len(r.adaptive) > 0 {
-		p := r.adaptive[si].Tuned[pi]
+func tunedCell(r serve.YieldResult, si, pi int) any {
+	if len(r.Adaptive) > 0 {
+		p := r.Adaptive[si].Tuned[pi]
 		return fmt.Sprintf("%.2f±%.2f", p.Estimate*100, p.HalfWidth*100)
 	}
-	return r.reports[si].Tuned[pi].Percent()
+	return r.Reports[si].Tuned[pi].Percent()
 }
 
 // adaptiveFooter summarizes the shared wave loop of an adaptive run (empty
 // for fixed-n runs). Every query of a batch shares the loop, so the counts
 // are read off the first adaptive report.
-func adaptiveFooter(results []evalResult, evalN int) string {
+func adaptiveFooter(results []serve.YieldResult, evalN int) string {
 	for _, r := range results {
-		for _, rep := range r.adaptive {
+		for _, rep := range r.Adaptive {
 			return fmt.Sprintf("adaptive: ±%g at %.0f%% confidence used %d/%d chips in %d waves (met=%v)",
 				rep.Eps, rep.Conf*100, rep.SamplesUsed, evalN, rep.Waves, rep.Met)
 		}
@@ -179,13 +141,16 @@ type backend interface {
 	insert(k float64, samples int, seed uint64) (insertion.Plan, error)
 	// evaluate answers every query from one shared realization pass over
 	// evalN fresh chips of universe seed.
-	evaluate(queries []evalQuery, evalN int, seed uint64) ([]evalResult, error)
+	evaluate(queries []serve.YieldQuery, evalN int, seed uint64) ([]serve.YieldResult, error)
 }
 
 // strategySeed is the fixed randk seed of the comparison set.
 const strategySeed = 5
 
 func run(o options, out io.Writer) error {
+	if o.ctx == nil {
+		o.ctx = context.Background()
+	}
 	var (
 		be  backend
 		err error
@@ -220,12 +185,12 @@ func runPlanMode(be backend, o options, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := be.evaluate([]evalQuery{{plan: *plan, Ts: []float64{plan.T}}}, o.evalN, o.seed+0x1000)
+	res, err := be.evaluate([]serve.YieldQuery{{Plan: *plan, Periods: []float64{plan.T}}}, o.evalN, o.seed+0x1000)
 	if err != nil {
 		return err
 	}
-	if len(res[0].adaptive) > 0 {
-		a := res[0].adaptive[0]
+	if len(res[0].Adaptive) > 0 {
+		a := res[0].Adaptive[0]
 		yo, y := a.Original[0], a.Tuned[0]
 		fmt.Fprintf(out, "plan %q (%d buffers) at T=%.1f ps:\n",
 			o.planFile, len(plan.Groups), plan.T)
@@ -235,7 +200,7 @@ func runPlanMode(be backend, o options, out io.Writer) error {
 		fmt.Fprintln(out, adaptiveFooter(res, o.evalN))
 		return nil
 	}
-	rep := res[0].reports[0].At(0)
+	rep := res[0].Reports[0].At(0)
 	fmt.Fprintf(out, "plan %q (%d buffers) at T=%.1f ps over %d chips:\n",
 		o.planFile, len(plan.Groups), plan.T, o.evalN)
 	fmt.Fprintf(out, "  Yo = %6.2f %%\n  Y  = %6.2f %%\n  Yi = %+6.2f points\n",
@@ -251,30 +216,30 @@ func runClassicMode(be backend, o options, out io.Writer) error {
 		nb   int
 	}
 	var rows []targetRow
-	var queries []evalQuery
+	var queries []serve.YieldQuery
 	for _, k := range []float64{0, 1, 2} {
 		plan, err := be.insert(k, o.samples, o.seed)
 		if err != nil {
 			return err
 		}
 		rows = append(rows, targetRow{k: k, T: plan.T, nb: len(plan.Groups)})
-		queries = append(queries, evalQuery{plan: plan, Ts: []float64{plan.T}, strategies: true})
+		queries = append(queries, strategyQuery(plan, []float64{plan.T}))
 	}
 	results, err := be.evaluate(queries, o.evalN, o.seed+0x1000)
 	if err != nil {
 		return err
 	}
 	header := []string{"T", "Yo(%)", "Nb"}
-	for _, name := range results[0].names {
+	for _, name := range results[0].Names {
 		header = append(header, name+" Y(%)")
 	}
 	tb := tabular.New(header...)
 	tb.SetTitle("Yield vs strategy (equal buffer budget for topk/randk):")
 	for i, row := range rows {
 		cells := []any{fmt.Sprintf("%.1f (µ+%0.0fσ)", row.T, row.k),
-			results[i].origCell(0, 0), row.nb}
-		for si := range results[i].names {
-			cells = append(cells, results[i].tunedCell(si, 0))
+			origCell(results[i], 0, 0), row.nb}
+		for si := range results[i].Names {
+			cells = append(cells, tunedCell(results[i], si, 0))
 		}
 		tb.AddRowf(cells...)
 	}
@@ -301,22 +266,22 @@ func runSweepMode(be backend, o options, out io.Writer) error {
 			Ts[i] = lo + (hi-lo)*float64(i)/float64(o.periods-1)
 		}
 	}
-	results, err := be.evaluate([]evalQuery{{plan: plan, Ts: Ts, strategies: true}}, o.evalN, o.seed+0x1000)
+	results, err := be.evaluate([]serve.YieldQuery{strategyQuery(plan, Ts)}, o.evalN, o.seed+0x1000)
 	if err != nil {
 		return err
 	}
 	res := results[0]
 	header := []string{"T", "Yo(%)"}
-	for _, name := range res.names {
+	for _, name := range res.Names {
 		header = append(header, name+" Y(%)")
 	}
 	tb := tabular.New(header...)
 	tb.SetTitle(fmt.Sprintf("Yield sweep, %d periods, insertion at µT+σ (Nb=%d), %d chips realized once:",
 		o.periods, len(plan.Groups), o.evalN))
 	for i := range Ts {
-		cells := []any{fmt.Sprintf("%.1f", Ts[i]), res.origCell(0, i)}
-		for si := range res.names {
-			cells = append(cells, res.tunedCell(si, i))
+		cells := []any{fmt.Sprintf("%.1f", Ts[i]), origCell(res, 0, i)}
+		for si := range res.Names {
+			cells = append(cells, tunedCell(res, si, i))
 		}
 		tb.AddRowf(cells...)
 	}
@@ -327,29 +292,17 @@ func runSweepMode(be backend, o options, out io.Writer) error {
 	return nil
 }
 
-// ---------------- local backend ----------------
-
-// circuitSpecOf maps the CLI's circuit selection onto the service schema —
-// shared by -server and -workers modes so daemon-side bench keys (and the
-// fallback circuit name of an inline netlist) are identical in both.
-func circuitSpecOf(o options) (serve.CircuitSpec, error) {
-	if o.bench != "" {
-		text, err := os.ReadFile(o.bench)
-		if err != nil {
-			return serve.CircuitSpec{}, err
-		}
-		return serve.CircuitSpec{Bench: string(text), BenchName: o.bench}, nil
-	}
-	return serve.CircuitSpec{Preset: o.preset}, nil
+// strategyQuery asks for plan and the baseline strategies around it over
+// the period sweep Ts.
+func strategyQuery(plan insertion.Plan, Ts []float64) serve.YieldQuery {
+	return serve.YieldQuery{Plan: plan, Periods: Ts, Strategies: true, StrategySeed: strategySeed}
 }
 
+// ---------------- local backend ----------------
+
 type localBackend struct {
-	ctx   context.Context
-	bench *expt.Bench
-	// coord shards the sample loops over worker daemons (-workers mode);
-	// nil runs everything in this process. Either way the reductions are
-	// shared code, so the output is byte-identical.
-	coord     *serve.Coordinator
+	ctx       context.Context
+	bench     *expt.Bench
 	eps, conf float64
 }
 
@@ -371,20 +324,7 @@ func newLocalBackend(o options) (backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &localBackend{ctx: o.ctx, bench: bench, eps: o.eps, conf: o.conf}
-	if b.ctx == nil {
-		b.ctx = context.Background()
-	}
-	if o.workers != "" {
-		spec, err := circuitSpecOf(o)
-		if err != nil {
-			return nil, err
-		}
-		b.coord = serve.NewCoordinator(
-			shard.NewPoolWith(strings.Split(o.workers, ","), o.dispatchOptions()), o.shards,
-			spec, expt.Options{}, bench, insertion.NewRunner(bench.Graph, bench.Placement))
-	}
-	return b, nil
+	return &localBackend{ctx: o.ctx, bench: bench, eps: o.eps, conf: o.conf}, nil
 }
 
 func (b *localBackend) summary() string                { return b.bench.Summary() }
@@ -392,52 +332,19 @@ func (b *localBackend) targetPeriod(k float64) float64 { return b.bench.TargetPe
 
 func (b *localBackend) insert(k float64, samples int, seed uint64) (insertion.Plan, error) {
 	T := b.bench.TargetPeriod(k)
-	// Resolve the defaults before the executor captures the configuration:
-	// the wire protocol ships exactly the values the flow runs with.
-	cfg := expt.InsertConfig(T, insertion.Config{Samples: samples, Seed: seed})
-	if b.coord != nil {
-		cfg.Pass = b.coord.InsertPass(b.ctx, cfg)
-	}
-	res, err := b.bench.Insert(T, cfg)
+	res, err := b.bench.Insert(T, insertion.Config{Samples: samples, Seed: seed})
 	if err != nil {
 		return insertion.Plan{}, err
 	}
 	return res.Plan(b.bench.Name), nil
 }
 
-func (b *localBackend) evaluate(queries []evalQuery, evalN int, seed uint64) ([]evalResult, error) {
+func (b *localBackend) evaluate(queries []serve.YieldQuery, evalN int, seed uint64) ([]serve.YieldResult, error) {
 	// The expansion and the evaluation are serve.Evaluate — the exact code
-	// the daemon's /v1/yield runs — so local, sharded, and server mode
-	// cannot drift apart.
+	// the daemon's /v1/yield runs — so local and server mode cannot drift
+	// apart.
 	g := b.bench.Graph
-	be := serve.Local(mc.New(g, seed))
-	if b.coord != nil {
-		be = b.coord.Backend(evalN, seed)
-	}
-	results, err := serve.Evaluate(b.ctx, g, evalN, toServeQueries(queries), yield.Precision{Eps: b.eps, Conf: b.conf}, be)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]evalResult, len(results))
-	for i, r := range results {
-		out[i] = evalResult{names: r.Names, reports: r.Reports, adaptive: r.Adaptive}
-	}
-	return out, nil
-}
-
-// toServeQueries maps the CLI's query form onto the service schema shared
-// by both backends.
-func toServeQueries(queries []evalQuery) []serve.YieldQuery {
-	var out []serve.YieldQuery
-	for _, q := range queries {
-		out = append(out, serve.YieldQuery{
-			Plan:         q.plan,
-			Periods:      q.Ts,
-			Strategies:   q.strategies,
-			StrategySeed: strategySeed,
-		})
-	}
-	return out
+	return serve.Evaluate(b.ctx, g, evalN, queries, yield.Precision{Eps: b.eps, Conf: b.conf}, serve.Local(mc.New(g, seed)))
 }
 
 // ---------------- server backend ----------------
@@ -450,15 +357,30 @@ type serverBackend struct {
 	eps, conf float64
 }
 
+// circuitSpecOf maps the CLI's circuit selection onto the service schema.
+// An inline netlist carries its file path as BenchName, so a netlist
+// without a "# name" comment still gets the same fallback name the local
+// path uses.
+func circuitSpecOf(o options) (serve.CircuitSpec, error) {
+	if o.bench != "" {
+		text, err := os.ReadFile(o.bench)
+		if err != nil {
+			return serve.CircuitSpec{}, err
+		}
+		return serve.CircuitSpec{Bench: string(text), BenchName: o.bench}, nil
+	}
+	return serve.CircuitSpec{Preset: o.preset}, nil
+}
+
 func newServerBackend(o options) (backend, error) {
-	// The daemon receives inline netlists with BenchName carrying the file
-	// path, so a netlist without a "# name" comment still gets the same
-	// fallback name the local path uses.
 	spec, err := circuitSpecOf(o)
 	if err != nil {
 		return nil, err
 	}
-	b := &serverBackend{cl: serve.NewClient(o.server), spec: spec, opt: expt.Options{}, eps: o.eps, conf: o.conf}
+	b := &serverBackend{
+		cl:   serve.NewClient(o.server).WithContext(o.ctx),
+		spec: spec, opt: expt.Options{}, eps: o.eps, conf: o.conf,
+	}
 	prep, err := b.cl.Prepare(serve.PrepareRequest{Circuit: spec, Options: b.opt})
 	if err != nil {
 		return nil, err
@@ -486,27 +408,15 @@ func (b *serverBackend) insert(k float64, samples int, seed uint64) (insertion.P
 	return resp.Plan, nil
 }
 
-func (b *serverBackend) evaluate(queries []evalQuery, evalN int, seed uint64) ([]evalResult, error) {
-	req := serve.YieldRequest{
+func (b *serverBackend) evaluate(queries []serve.YieldQuery, evalN int, seed uint64) ([]serve.YieldResult, error) {
+	resp, err := b.cl.Yield(serve.YieldRequest{
 		Circuit: b.spec, Options: b.opt,
 		EvalSamples: evalN, Seed: seed,
 		Eps: b.eps, Conf: b.conf,
-	}
-	for _, q := range queries {
-		req.Queries = append(req.Queries, serve.YieldQuery{
-			Plan:         q.plan,
-			Periods:      q.Ts,
-			Strategies:   q.strategies,
-			StrategySeed: strategySeed,
-		})
-	}
-	resp, err := b.cl.Yield(req)
+		Queries: queries,
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]evalResult, len(resp.Results))
-	for i, r := range resp.Results {
-		out[i] = evalResult{names: r.Names, reports: r.Reports, adaptive: r.Adaptive}
-	}
-	return out, nil
+	return resp.Results, nil
 }

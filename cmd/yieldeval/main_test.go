@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ckt"
@@ -133,32 +137,24 @@ func TestServerModePlanByteIdentical(t *testing.T) {
 	requireIdentical(t, options{bench: bench, evalN: 300, seed: 5, planFile: planPath}, url)
 }
 
-// requireIdenticalSharded runs the same query in-process and with the
-// sample loops sharded across worker daemons, demanding byte-identical
-// stdout — the acceptance bar for -workers mode.
+// requireIdenticalSharded runs the same query in-process and through a
+// bufinsd coordinator that shards the sample loops across the worker
+// daemons in shards ranges per pass, demanding byte-identical stdout and
+// ranges actually dispatched — the acceptance bar for sharded runs.
 func requireIdenticalSharded(t *testing.T, o options, workers []string, shards int) {
 	t.Helper()
-	var local, sharded bytes.Buffer
-	if err := run(o, &local); err != nil {
-		t.Fatalf("local run: %v", err)
-	}
-	o.workers = strings.Join(workers, ",")
-	o.shards = shards
-	if err := run(o, &sharded); err != nil {
-		t.Fatalf("sharded run: %v", err)
-	}
-	if !bytes.Equal(local.Bytes(), sharded.Bytes()) {
-		t.Fatalf("sharded output differs from local output:\n--- local ---\n%s--- sharded ---\n%s",
-			local.String(), sharded.String())
-	}
-	if local.Len() == 0 {
-		t.Fatal("empty output")
+	coord := serve.New(serve.Config{Workers: workers, Shards: shards})
+	cs := httptest.NewServer(coord.Handler())
+	t.Cleanup(cs.Close)
+	requireIdentical(t, o, cs.URL)
+	if coord.Pool().C.Dispatched.Load() == 0 {
+		t.Fatal("no ranges were dispatched to the workers")
 	}
 }
 
-// TestWorkersModeClassicByteIdentical: a 2-worker sharded classic run —
-// uneven 7-range splits included — reproduces the single-process stdout
-// byte for byte.
+// TestWorkersModeClassicByteIdentical: a classic run through a 2-worker
+// coordinator — uneven 7-range splits included — reproduces the
+// single-process stdout byte for byte.
 func TestWorkersModeClassicByteIdentical(t *testing.T) {
 	bench := writeTinyBench(t)
 	workers := []string{startDaemon(t), startDaemon(t)}
@@ -195,8 +191,8 @@ func TestAdaptiveEpsZeroMatchesFixed(t *testing.T) {
 }
 
 // TestAdaptiveByteIdenticalAcrossBackends: the adaptive wave schedule is a
-// pure function of the merged tallies, so in-process, -server, and -workers
-// runs print the identical table, samples-used footer included.
+// pure function of the merged tallies, so in-process, plain -server, and
+// sharded -server runs print the identical table, samples-used footer included.
 func TestAdaptiveByteIdenticalAcrossBackends(t *testing.T) {
 	bench := writeTinyBench(t)
 	o := options{bench: bench, samples: 120, evalN: 2000, seed: 5, eps: 0.05, conf: 0.9}
@@ -209,4 +205,30 @@ func TestAdaptiveByteIdenticalAcrossBackends(t *testing.T) {
 	}
 	requireIdentical(t, o, startDaemon(t))
 	requireIdenticalSharded(t, o, []string{startDaemon(t), startDaemon(t)}, 7)
+}
+
+// TestServerModeHonorsCancellation: a cancelled run context (^C) stops a
+// -server run before any request reaches the daemon, with an error that
+// wraps context.Canceled.
+func TestServerModeHonorsCancellation(t *testing.T) {
+	bench := writeTinyBench(t)
+	var prepares atomic.Int64
+	h := serve.New(serve.Config{}).Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/prepare" {
+			prepares.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	o := options{bench: bench, samples: 120, evalN: 300, seed: 5, server: ts.URL, ctx: ctx}
+	var out bytes.Buffer
+	if err := run(o, &out); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want one wrapping context.Canceled", err)
+	}
+	if n := prepares.Load(); n != 0 {
+		t.Fatalf("daemon saw %d prepare requests after cancellation", n)
+	}
 }

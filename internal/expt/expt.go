@@ -398,23 +398,15 @@ type RowConfig struct {
 	Conf float64
 
 	// Pass, when non-nil, supplies the distributed executor for each
-	// insertion run's Monte Carlo passes (serve.Coordinator.InsertPass is
-	// the production implementation); nil = in-process. The executor is
-	// required to be byte-identical to the in-process pass, so rows are
+	// insertion run's Monte Carlo passes; nil = in-process. The executor
+	// is required to be byte-identical to the in-process pass, so rows are
 	// the same either way.
 	Pass func(insertion.Config) insertion.PassFunc
-	// Waves, when non-nil, supplies the wave backend of the shared yield
-	// pass (serve.Coordinator.PlanWaves shards every wave across workers):
-	// it gets every row's durable plan, the chip cap n, the evaluation
-	// seed, and the sweeps built from those plans, in row order. Plans
-	// carry the spec, groups, and target the sweeps are built from, so the
-	// rows are byte-identical to the in-process pass — fixed or adaptive.
-	Waves func(plans []insertion.Plan, n int, seed uint64, sweeps []*yield.SweepEvaluator) yield.WaveFunc
-	// EvalPlans, when non-nil (and neither Waves nor Eps is set), measures
-	// each row's single-period yield report from its durable plan instead
-	// of the in-process pass. It answers the fixed-n pass's one full-range
-	// wave, so the reports it returns are checked and folded like any
-	// other wave.
+	// EvalPlans, when non-nil (and Eps is not set), measures each row's
+	// single-period yield report from its durable plan instead of the
+	// in-process pass. It answers the fixed-n pass's one full-range wave,
+	// so the reports it returns are checked and folded like any other
+	// wave.
 	EvalPlans func(plans []insertion.Plan, n int, seed uint64) ([]yield.Report, error)
 }
 
@@ -428,18 +420,12 @@ func (rc *RowConfig) fill() {
 
 // waves picks the backend of the shared yield pass over universe seed.
 func (rc *RowConfig) waves(b *Bench, rows []Row, seed uint64, sweeps []*yield.SweepEvaluator) yield.WaveFunc {
-	plans := func() []insertion.Plan {
-		out := make([]insertion.Plan, len(rows))
+	if rc.EvalPlans != nil && rc.Eps <= 0 {
+		plans := make([]insertion.Plan, len(rows))
 		for i := range rows {
-			out[i] = rows[i].Insert.Plan(b.Name)
+			plans[i] = rows[i].Insert.Plan(b.Name)
 		}
-		return out
-	}
-	switch {
-	case rc.Waves != nil:
-		return rc.Waves(plans(), rc.EvalSamples, seed, sweeps)
-	case rc.EvalPlans != nil && rc.Eps <= 0:
-		return reportWaves(rc.EvalPlans, plans(), rc.EvalSamples, seed)
+		return reportWaves(rc.EvalPlans, plans, rc.EvalSamples, seed)
 	}
 	eng := mc.New(b.Graph, seed)
 	eng.Workers = rc.Workers
@@ -559,22 +545,42 @@ func RunRowsContext(ctx context.Context, b *Bench, targets []Target, rc RowConfi
 	if err != nil {
 		return nil, fmt.Errorf("expt: yield evaluation on %s: %w", b.Name, err)
 	}
-	for i := range rows {
-		if prec.Active() {
+	if err := FoldYields(rows, res); err != nil {
+		return nil, fmt.Errorf("expt: yield evaluation on %s: %w", b.Name, err)
+	}
+	return rows, nil
+}
+
+// FoldYields fills the yield columns of rows from their shared pass, one
+// single-period sweep per row in row order: the sequential estimates and
+// the Adaptive report when the pass ran adaptively, the exact Yo/Y/Yi and
+// YieldRep otherwise. It is the one fold of every Table I front door, in
+// process or through a daemon, so their rows cannot drift apart.
+func FoldYields(rows []Row, res yield.Result) error {
+	if len(res.Adaptive) > 0 {
+		if len(res.Adaptive) != len(rows) {
+			return fmt.Errorf("%d adaptive reports for %d rows", len(res.Adaptive), len(rows))
+		}
+		for i := range rows {
 			rep := res.Adaptive[i]
 			rows[i].Yo = rep.Original[0].Estimate * 100
 			rows[i].Y = rep.Tuned[0].Estimate * 100
 			rows[i].Yi = rows[i].Y - rows[i].Yo
 			rows[i].Adaptive = &rep
-			continue
 		}
+		return nil
+	}
+	if len(res.Reports) != len(rows) {
+		return fmt.Errorf("%d yield reports for %d rows", len(res.Reports), len(rows))
+	}
+	for i := range rows {
 		rep := res.Reports[i].At(0)
 		rows[i].Yo = rep.Original.Percent()
 		rows[i].Y = rep.Tuned.Percent()
 		rows[i].Yi = rep.Improvement()
 		rows[i].YieldRep = rep
 	}
-	return rows, nil
+	return nil
 }
 
 // Fig4Node is one node of the pruning illustration: an FF with its step-1

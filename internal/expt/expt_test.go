@@ -8,7 +8,6 @@ import (
 	"repro/internal/ckt"
 	"repro/internal/gen"
 	"repro/internal/insertion"
-	"repro/internal/mc"
 	"repro/internal/yield"
 )
 
@@ -274,25 +273,11 @@ func TestRunRowsAdaptive(t *testing.T) {
 		}
 	}
 
-	// Hook dispatch: under Eps only the wave backend runs, and it
-	// reproduces the in-process wave loop exactly (same tallies, same
-	// schedule).
+	// Hook dispatch: under Eps the exact EvalPlans hook is never
+	// consulted — the in-process wave loop answers, exactly as without it.
 	rc.EvalPlans = func([]insertion.Plan, int, uint64) ([]yield.Report, error) {
 		t.Error("exact EvalPlans hook consulted under Eps")
 		return nil, fmt.Errorf("wrong hook")
-	}
-	rc.Waves = func(plans []insertion.Plan, n int, seed uint64, _ []*yield.SweepEvaluator) yield.WaveFunc {
-		sweeps := make([]*yield.SweepEvaluator, len(plans))
-		for i, p := range plans {
-			ev, err := yield.NewEvaluator(b.Graph, p.Spec, p.Groups)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sweeps[i], err = yield.NewSweepEvaluator(ev, []float64{p.T}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return yield.Local(mc.New(b.Graph, seed), sweeps...)
 	}
 	hooked, err := RunRows(b, Targets, rc)
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 )
 
 // Determinism enforces the byte-identical reproduction contract (ZhangLS16
-// Table I: local, -server, and -workers backends must produce identical
+// Table I: local, -server, and sharded backends must produce identical
 // bytes) in the packages on that path:
 //
 //   - a `range` over a map whose loop body feeds an order-sensitive sink

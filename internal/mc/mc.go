@@ -18,8 +18,8 @@ import (
 
 // Engine streams chip samples from a timing graph.
 //
-// Ownership: the configuration fields (Seed, Workers, Antithetic,
-// OnRealize) are owner-set before streaming and must not be mutated while
+// Ownership: the configuration fields (Seed, Workers, OnRealize,
+// Stratify) are owner-set before streaming and must not be mutated while
 // a pass is running. With the fields frozen, the streaming methods
 // themselves are safe to call concurrently — each pass owns its worker
 // chips and claims samples through its own atomic counter, and the Graph
@@ -32,12 +32,6 @@ type Engine struct {
 	Seed uint64
 	// Workers bounds parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Antithetic pairs the sample universe: chip 2k+1 uses the negated
-	// random deviates of chip 2k. Die-level quantities (required period,
-	// yield indicators) become negatively correlated within a pair, which
-	// reduces the variance of population estimates at the same sample
-	// count — a classic Monte Carlo variance-reduction technique.
-	Antithetic bool
 	// OnRealize, when set, is called once per chip realization, possibly
 	// concurrently from worker goroutines. It is a diagnostic hook: tests
 	// use it to assert how many times a pass materializes chips (batched
@@ -45,13 +39,12 @@ type Engine struct {
 	OnRealize func(k int)
 	// Stratify, when > 1, stratifies the first global variation component
 	// (the die-level source every pair delay loads on) over this many
-	// equal-probability bands: chip k's base stream index b (b = k, or k/2
-	// under Antithetic) draws gvec[0] from the normal quantile band
-	// [(b mod L)/L, (b mod L+1)/L) instead of the full distribution —
-	// systematic (cycling) stratification, so any contiguous sample range
-	// whose length is a multiple of the stratification cycle covers every
+	// equal-probability bands: chip k draws gvec[0] from the normal
+	// quantile band [(k mod L)/L, (k mod L+1)/L) instead of the full
+	// distribution — systematic (cycling) stratification, so any
+	// contiguous sample range whose length is a multiple of L covers every
 	// band exactly evenly. Chip k stays deterministic in (Seed, k,
-	// Antithetic, Stratify) alone, independent of worker scheduling or
+	// Stratify) alone, independent of worker scheduling or
 	// range tiling, which is what lets the adaptive wave sampler merge
 	// stratified waves from different processes. A stratified universe is
 	// a different universe from the unstratified one at the same seed:
@@ -80,42 +73,15 @@ func New(g *timing.Graph, seed uint64) *Engine {
 	return &Engine{G: g, Seed: seed}
 }
 
-// streamParams returns the PCG seed pair and antithetic sign of chip k.
-// Under Antithetic, chips 2k and 2k+1 share the base stream with opposite
-// signs. Chip k is deterministic in (Seed, k) by construction.
-func (e *Engine) streamParams(k int) (s1, s2 uint64, flip bool) {
-	base := k
-	if e.Antithetic {
-		base = k / 2
-		flip = k%2 == 1
-	}
-	return e.Seed, uint64(base)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03, flip
+// streamParams returns the PCG seed pair of chip k, deterministic in
+// (Seed, k) by construction.
+func (e *Engine) streamParams(k int) (s1, s2 uint64) {
+	return e.Seed, uint64(k)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
 }
 
 // rngFor returns the deterministic normal-deviate stream of chip k.
-func (e *Engine) rngFor(k int) timing.NormSource {
-	s1, s2, flip := e.streamParams(k)
-	rng := rand.New(rand.NewPCG(s1, s2))
-	if flip {
-		return negSource{rng}
-	}
-	return rng
-}
-
-// negSource mirrors a normal stream (antithetic pairing).
-type negSource struct{ r *rand.Rand }
-
-func (n negSource) NormFloat64() float64 { return -n.r.NormFloat64() }
-
-// stratumOf returns chip k's stratum index under Stratify (antithetic
-// pairs share the base stream, hence the stratum; the odd chip's mirrored
-// deviates land in the symmetric band, as with every other draw).
-func (e *Engine) stratumOf(k int) int {
-	base := k
-	if e.Antithetic {
-		base = k / 2
-	}
-	return base % e.Stratify
+func (e *Engine) rngFor(k int) *rand.Rand {
+	return rand.New(rand.NewPCG(e.streamParams(k)))
 }
 
 // stratumNormal maps a uniform draw within stratum s of L onto the normal
@@ -130,22 +96,15 @@ func stratumNormal(s, L int, u float64) float64 {
 }
 
 // realizeStratified samples chip k with the stratified global draw:
-// gvec[0] comes from the chip's stratum band (negated under an antithetic
-// flip, consistent with every other deviate of the mirrored stream), the
-// rest of the global vector and all local deviates stream from ns as
-// usual. rng must be the chip's raw (unflipped) stream — the uniform
-// stratum position is shared by an antithetic pair. gv is caller scratch
-// of length G.Dim().
-func (e *Engine) realizeStratified(k int, rng *rand.Rand, ns timing.NormSource, flip bool, gv []float64, ch *timing.Chip) {
-	z := stratumNormal(e.stratumOf(k), e.Stratify, rng.Float64())
-	if flip {
-		z = -z
-	}
-	gv[0] = z
+// gvec[0] comes from the chip's stratum band (k mod Stratify), the rest
+// of the global vector and all local deviates stream from rng as usual.
+// rng must be the chip's stream; gv is caller scratch of length G.Dim().
+func (e *Engine) realizeStratified(k int, rng *rand.Rand, gv []float64, ch *timing.Chip) {
+	gv[0] = stratumNormal(k%e.Stratify, e.Stratify, rng.Float64())
 	for i := 1; i < len(gv); i++ {
-		gv[i] = ns.NormFloat64()
+		gv[i] = rng.NormFloat64()
 	}
-	e.G.RealizeWithGlobals(ns, gv, ch)
+	e.G.RealizeWithGlobals(rng, gv, ch)
 }
 
 // Chip materializes sample k (deterministic; mostly for tests and
@@ -153,13 +112,7 @@ func (e *Engine) realizeStratified(k int, rng *rand.Rand, ns timing.NormSource, 
 func (e *Engine) Chip(k int) *timing.Chip {
 	ch := e.G.NewChip()
 	if e.Stratify > 1 && e.G.Dim() > 0 {
-		s1, s2, flip := e.streamParams(k)
-		rng := rand.New(rand.NewPCG(s1, s2))
-		var ns timing.NormSource = rng
-		if flip {
-			ns = negSource{rng}
-		}
-		e.realizeStratified(k, rng, ns, flip, make([]float64, e.G.Dim()), ch)
+		e.realizeStratified(k, e.rngFor(k), make([]float64, e.G.Dim()), ch)
 		return ch
 	}
 	e.G.RealizeInto(e.rngFor(k), ch)
@@ -208,22 +161,16 @@ func (e *Engine) ForEachRangeBatch(lo, hi int, fns ...func(k int, ch *timing.Chi
 		ch := e.G.NewChip()
 		src := rand.NewPCG(0, 0)
 		rng := rand.New(src)
-		neg := negSource{rng}
 		var gv []float64
 		if stratified {
 			gv = make([]float64, e.G.Dim())
 		}
 		return func(k int) {
-			s1, s2, flip := e.streamParams(k)
-			src.Seed(s1, s2)
-			var ns timing.NormSource = rng
-			if flip {
-				ns = neg
-			}
+			src.Seed(e.streamParams(k))
 			if stratified {
-				e.realizeStratified(k, rng, ns, flip, gv, ch)
+				e.realizeStratified(k, rng, gv, ch)
 			} else {
-				e.G.RealizeInto(ns, ch)
+				e.G.RealizeInto(rng, ch)
 			}
 			if e.OnRealize != nil {
 				e.OnRealize(k)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,6 +16,10 @@ import (
 type Client struct {
 	Base string // e.g. "http://127.0.0.1:8077"
 	HTTP *http.Client
+
+	// ctx bounds every request (nil = context.Background); set it with
+	// WithContext.
+	ctx context.Context
 }
 
 // NewClient builds a client for a server base URL.
@@ -25,6 +30,22 @@ func NewClient(base string) *Client {
 	}
 }
 
+// WithContext returns a copy of c whose requests are bound to ctx:
+// cancelling ctx aborts the in-flight request (the daemon sees the hang-up
+// and releases its work) and fails every later one without dialing.
+func (c *Client) WithContext(ctx context.Context) *Client {
+	cc := *c
+	cc.ctx = ctx
+	return &cc
+}
+
+func (c *Client) context() context.Context {
+	if c.ctx == nil {
+		return context.Background()
+	}
+	return c.ctx
+}
+
 // post sends one JSON request and decodes the JSON response into out.
 // Non-2xx responses surface the server's error message.
 func (c *Client) post(path string, req, out any) error {
@@ -32,7 +53,12 @@ func (c *Client) post(path string, req, out any) error {
 	if err != nil {
 		return err
 	}
-	resp, err := c.HTTP.Post(c.Base+path, "application/json", bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(c.context(), http.MethodPost, c.Base+path, bytes.NewReader(body))
+	if err != nil {
+		return fmt.Errorf("serve: POST %s: %w", path, err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	resp, err := c.HTTP.Do(hreq)
 	if err != nil {
 		return fmt.Errorf("serve: POST %s: %w", path, err)
 	}
@@ -83,7 +109,11 @@ func (c *Client) Yield(req YieldRequest) (*YieldResponse, error) {
 
 // Health probes /healthz.
 func (c *Client) Health() error {
-	resp, err := c.HTTP.Get(c.Base + "/healthz")
+	req, err := http.NewRequestWithContext(c.context(), http.MethodGet, c.Base+"/healthz", nil)
+	if err != nil {
+		return err
+	}
+	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return err
 	}

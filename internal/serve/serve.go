@@ -259,14 +259,24 @@ func badRequest(format string, args ...any) error {
 	return &httpError{status: http.StatusBadRequest, err: fmt.Errorf(format, args...)}
 }
 
-// jsonHandler wraps one POST endpoint: inflight limiting, body capping,
-// request decoding, response encoding, and error mapping.
-func (s *Server) jsonHandler(ep endpoint, fn func(r *http.Request) (any, error)) http.Handler {
+// postHandler is the one admission path of every POST endpoint: it
+// counts the request, rejects other methods (405), lets accept screen the
+// request before it holds anything (nil accepts all), takes an inflight
+// slot (429 when the server is full), caps the body, and runs fn. fn
+// writes the 200 response itself; an error it returns is answered as JSON
+// with its httpError status, 500 for any other error.
+func (s *Server) postHandler(ep endpoint, accept func(*http.Request) error, fn func(http.ResponseWriter, *http.Request) error) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.m.requests[ep].Add(1)
 		if r.Method != http.MethodPost {
 			s.fail(w, ep, http.StatusMethodNotAllowed, errors.New("POST only"))
 			return
+		}
+		if accept != nil {
+			if err := accept(r); err != nil {
+				s.failErr(w, ep, err)
+				return
+			}
 		}
 		select {
 		case s.inflight <- struct{}{}:
@@ -279,19 +289,34 @@ func (s *Server) jsonHandler(ep endpoint, fn func(r *http.Request) (any, error))
 		s.m.inflight.Add(1)
 		defer s.m.inflight.Add(-1)
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		if err := fn(w, r); err != nil {
+			s.failErr(w, ep, err)
+		}
+	})
+}
+
+// jsonHandler wraps one JSON endpoint: postHandler's admission around the
+// handler, with the response encoded as JSON.
+func (s *Server) jsonHandler(ep endpoint, fn func(r *http.Request) (any, error)) http.Handler {
+	return s.postHandler(ep, nil, func(w http.ResponseWriter, r *http.Request) error {
 		resp, err := fn(r)
 		if err != nil {
-			status := http.StatusInternalServerError
-			var he *httpError
-			if errors.As(err, &he) {
-				status = he.status
-			}
-			s.fail(w, ep, status, err)
-			return
+			return err
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(resp)
+		return nil
 	})
+}
+
+// failErr answers err with its httpError status (500 for any other error).
+func (s *Server) failErr(w http.ResponseWriter, ep endpoint, err error) {
+	status := http.StatusInternalServerError
+	var he *httpError
+	if errors.As(err, &he) {
+		status = he.status
+	}
+	s.fail(w, ep, status, err)
 }
 
 func (s *Server) fail(w http.ResponseWriter, ep endpoint, status int, err error) {
@@ -499,7 +524,7 @@ func (s *Server) handleInsert(r *http.Request) (any, error) {
 			// Shard the flow's sample passes across the worker pool. The
 			// executor is not part of the plan key: sharded and in-process
 			// runs are byte-identical, so any cached plan answers both.
-			cfg.Pass = s.coordinator(req.Circuit, req.Options, e).InsertPass(r.Context(), cfg)
+			cfg.Pass = s.coordinator(req.Circuit, req.Options, e).insertPass(r.Context(), cfg)
 		}
 		res, err := e.runner.Run(cfg)
 		if err != nil {
@@ -565,7 +590,7 @@ func (s *Server) handleYield(r *http.Request) (any, error) {
 	prec := yield.Precision{Eps: req.Eps, Conf: req.Conf}
 	var be Backend
 	if s.pool != nil {
-		be = s.coordinator(req.Circuit, req.Options, e).Backend(req.EvalSamples, req.Seed)
+		be = s.coordinator(req.Circuit, req.Options, e).backend(req.EvalSamples, req.Seed)
 	} else {
 		be = Local(s.chipSource(e, req.Seed, req.EvalSamples, prec.Active()))
 	}
@@ -611,10 +636,10 @@ func Local(src mc.Source) Backend {
 // around it), and the whole batch is one yield.Drive call over the
 // backend's waves — n chips (fixed-n) or at most n (adaptive, under prec)
 // realized once in total, not once per (query, strategy, period). It is
-// the single evaluation path of the /v1/yield handler and the CLIs'
-// in-process and -workers modes, which is what keeps their outputs
-// byte-identical by construction. Errors are client errors (malformed
-// plans, unsorted sweeps, invalid precision) unless ctx ended.
+// the single evaluation path of the /v1/yield handler (in-process or
+// sharded) and of yieldeval's in-process mode, which is what keeps their
+// outputs byte-identical by construction. Errors are client errors
+// (malformed plans, unsorted sweeps, invalid precision) unless ctx ended.
 func Evaluate(ctx context.Context, g *timing.Graph, n int, queries []YieldQuery, prec yield.Precision, be Backend) ([]YieldResult, error) {
 	results, sweeps, err := expandQueries(g, queries)
 	if err != nil {

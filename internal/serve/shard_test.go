@@ -161,16 +161,22 @@ func TestShardedByteIdenticalAcrossCodecs(t *testing.T) {
 
 // flakyWorker proxies a real worker but dies (connection-level) after
 // serving `succeed` shard passes — the mid-run kill of the acceptance
-// criterion, observable as transport errors on later dispatches.
+// criterion, observable as transport errors on later dispatches. A dead
+// worker answers nothing afterwards, /healthz included, so the
+// coordinator's per-pass probe cannot revive it.
 func flakyWorker(t *testing.T, target string, succeed int64) string {
 	t.Helper()
 	var served atomic.Int64
+	var dead atomic.Bool
 	tu, err := url.Parse(target)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/v1/shard/") && served.Add(1) > succeed {
+			dead.Store(true)
+		}
+		if dead.Load() {
 			// Kill the connection without a valid HTTP response.
 			hj, ok := w.(http.Hijacker)
 			if !ok {

@@ -24,7 +24,7 @@ import (
 //   - the worker half: /v1/shard/insert-pass and /v1/shard/yield-pass
 //     handlers that execute one contiguous k-range against the worker's
 //     warm prepared-bench LRU and return k-indexed partials;
-//   - the coordinator half: Coordinator, which tiles a pass (or one yield
+//   - the coordinator half: coordinator, which tiles a pass (or one yield
 //     wave) into ranges, dispatches them over a shard.Pool, checks and
 //     merges the partials, and hands the flow and the yield driver an
 //     in-process-identical view.
@@ -151,56 +151,49 @@ func (s *Server) sweepsFor(e *benchEntry, queries []YieldQuery) ([]*yield.SweepE
 
 // ---------------- coordinator half ----------------
 
-// Coordinator shards the flow's Monte Carlo sample loops over a worker
-// pool for one circuit × options. It serves the Server's /v1/insert and
-// /v1/yield when Config.Workers is set, and the CLIs' -workers mode
-// directly (the in-process local fallback runs on the coordinator's own
-// graph and runner). Safe for concurrent use.
-type Coordinator struct {
-	// Pool is the worker registry (never nil; an empty pool runs every
+// coordinator shards the flow's Monte Carlo sample loops over the
+// Server's worker pool for one circuit × options: it backs /v1/insert and
+// /v1/yield when Config.Workers is set (the in-process local fallback runs
+// on the cached bench's own graph and warm runner). Safe for concurrent
+// use.
+type coordinator struct {
+	// pool is the worker registry (never nil; an empty pool runs every
 	// range in-process).
-	Pool *shard.Pool
-	// Shards is the range count per pass (0 = 4 per registered worker,
+	pool *shard.Pool
+	// shards is the range count per pass (0 = 4 per registered worker,
 	// minimum 1).
-	Shards int
-	// Circuit and Options identify the prepared bench on the workers.
-	Circuit CircuitSpec
-	Options expt.Options
+	shards int
+	// circuit and options identify the prepared bench on the workers.
+	circuit CircuitSpec
+	options expt.Options
 
 	g      *timing.Graph
 	runner *insertion.Runner
 }
 
-// NewCoordinator builds a coordinator for a locally prepared bench. The
-// runner backs the in-process fallback; passing the bench's existing
-// runner (as the server does) shares its warm solver pool.
-func NewCoordinator(pool *shard.Pool, shards int, spec CircuitSpec, opt expt.Options, b *expt.Bench, runner *insertion.Runner) *Coordinator {
-	return &Coordinator{
-		Pool:    pool,
-		Shards:  shards,
-		Circuit: spec,
-		Options: opt,
-		g:       b.Graph,
-		runner:  runner,
+// coordinator builds the per-request coordinator around a cached bench
+// entry (sharing its warm runner for the local fallback).
+func (s *Server) coordinator(spec CircuitSpec, opt expt.Options, e *benchEntry) *coordinator {
+	return &coordinator{
+		pool:    s.pool,
+		shards:  s.cfg.Shards,
+		circuit: spec,
+		options: opt,
+		g:       e.bench.Graph,
+		runner:  e.runner,
 	}
-}
-
-// coordinator builds the Server's per-request coordinator around a cached
-// bench entry (sharing its warm runner for the local fallback).
-func (s *Server) coordinator(spec CircuitSpec, opt expt.Options, e *benchEntry) *Coordinator {
-	return NewCoordinator(s.pool, s.cfg.Shards, spec, opt, e.bench, e.runner)
 }
 
 // ranges tiles the sub-range [lo, hi) — a full pass, or one adaptive
 // dispatch wave — and probes down workers so a restarted worker rejoins at
 // the next pass or wave.
-func (c *Coordinator) ranges(ctx context.Context, lo, hi int) []shard.Range {
-	if c.Pool.Alive() < c.Pool.Size() {
-		c.Pool.Probe(ctx, "/healthz")
+func (c *coordinator) ranges(ctx context.Context, lo, hi int) []shard.Range {
+	if c.pool.Alive() < c.pool.Size() {
+		c.pool.Probe(ctx, "/healthz")
 	}
-	parts := c.Shards
+	parts := c.shards
 	if parts <= 0 {
-		parts = 4 * c.Pool.Size()
+		parts = 4 * c.pool.Size()
 		if parts < 1 {
 			parts = 1
 		}
@@ -280,17 +273,17 @@ func (t rangeTask[P]) post(ctx context.Context, w *shard.Worker, r shard.Range) 
 	return p, nil
 }
 
-// InsertPass returns the distributed executor for one flow configuration:
+// insertPass returns the distributed executor for one flow configuration:
 // plug it into insertion.Config.Pass and the flow's step-1/B1/step-2
 // passes each fan out over the pool and merge k-indexed outcomes. cfg must
 // be the same configuration the flow runs with (before Pass is set). ctx
 // bounds every pass the returned func runs: cancelling it releases every
 // in-flight worker range and aborts the flow.
-func (c *Coordinator) InsertPass(ctx context.Context, cfg insertion.Config) insertion.PassFunc {
+func (c *coordinator) insertPass(ctx context.Context, cfg insertion.Config) insertion.PassFunc {
 	return func(spec insertion.PassSpec) ([]insertion.SampleOutcome, error) {
 		header, err := json.Marshal(InsertPassRequest{
-			Circuit:         c.Circuit,
-			Options:         c.Options,
+			Circuit:         c.circuit,
+			Options:         c.options,
 			T:               cfg.T,
 			Samples:         cfg.Samples,
 			Seed:            cfg.Seed,
@@ -318,7 +311,7 @@ func (c *Coordinator) InsertPass(ctx context.Context, cfg insertion.Config) inse
 			local: func(ctx context.Context, r shard.Range) ([]insertion.SampleOutcome, error) {
 				return c.runner.PassRange(ctx, cfg, spec, r.Lo, r.Hi)
 			},
-		}.run(ctx, c.Pool, c.ranges(ctx, 0, cfg.Samples))
+		}.run(ctx, c.pool, c.ranges(ctx, 0, cfg.Samples))
 		if err != nil {
 			return nil, err
 		}
@@ -326,20 +319,20 @@ func (c *Coordinator) InsertPass(ctx context.Context, cfg insertion.Config) inse
 	}
 }
 
-// Backend returns the sharded yield backend over n chips of universe
+// backend returns the sharded yield backend over n chips of universe
 // seed: each wave the driver asks for is one Pool.Run over the wave's
 // tiled range, every range's tallies are checked against the range
 // (yield.CheckWave) before they merge, and the in-process fallback tallies
 // a range on the coordinator's own graph. The wave schedule is the
 // driver's — a pure function of the merged tallies — so sharded results
 // are byte-identical to in-process ones, fixed and adaptive alike.
-func (c *Coordinator) Backend(n int, seed uint64) Backend {
+func (c *coordinator) backend(n int, seed uint64) Backend {
 	return func(queries []YieldQuery, sweeps []*yield.SweepEvaluator) yield.WaveFunc {
 		local := yield.Local(mc.New(c.g, seed), sweeps...)
 		return func(ctx context.Context, lo, hi int, zeroOnly bool, strata int) ([]yield.SweepTally, error) {
 			header, err := json.Marshal(YieldPassRequest{
-				Circuit:     c.Circuit,
-				Options:     c.Options,
+				Circuit:     c.circuit,
+				Options:     c.options,
 				EvalSamples: n,
 				Seed:        seed,
 				Queries:     queries,
@@ -365,21 +358,11 @@ func (c *Coordinator) Backend(n int, seed uint64) Backend {
 				local: func(ctx context.Context, r shard.Range) ([]yield.SweepTally, error) {
 					return local(ctx, r.Lo, r.Hi, zeroOnly, strata)
 				},
-			}.run(ctx, c.Pool, c.ranges(ctx, lo, hi))
+			}.run(ctx, c.pool, c.ranges(ctx, lo, hi))
 			if err != nil {
 				return nil, err
 			}
 			return merged, nil
 		}
 	}
-}
-
-// PlanWaves is Backend in the form expt.RowConfig.Waves takes: each plan
-// is one single-period query at its own target T.
-func (c *Coordinator) PlanWaves(plans []insertion.Plan, n int, seed uint64, sweeps []*yield.SweepEvaluator) yield.WaveFunc {
-	queries := make([]YieldQuery, len(plans))
-	for i, p := range plans {
-		queries[i] = YieldQuery{Plan: p}
-	}
-	return c.Backend(n, seed)(queries, sweeps)
 }

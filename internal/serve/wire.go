@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -162,55 +161,27 @@ func (s *Server) shardRoutes() {
 	s.mux.Handle(yieldPassPath, passHandler(s, epYieldPass, decodeYieldPassRequest, s.yieldPass, appendYieldPassResponse))
 }
 
-// passHandler wraps one /v1/shard/* endpoint with the jsonHandler duties
-// (inflight limiting, body capping, error mapping) around the binary
-// frame codec: the request decodes from a binary frame, the 200 response
-// encodes as one, and errors are JSON.
+// passHandler wraps one /v1/shard/* endpoint in postHandler's admission
+// around the binary frame codec: a request that is not a binary frame is
+// answered 415 before it takes an inflight slot, the request decodes from
+// its frame, the 200 response encodes as one, and errors are JSON.
 func passHandler[Req any, Resp any](s *Server, ep endpoint,
 	decode func([]byte) (Req, error),
 	handle func(*http.Request, Req) (Resp, error),
 	appendResp func([]byte, Resp) []byte,
 ) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.m.requests[ep].Add(1)
-		if r.Method != http.MethodPost {
-			s.fail(w, ep, http.StatusMethodNotAllowed, errors.New("POST only"))
-			return
-		}
-		if ct := r.Header.Get("Content-Type"); !strings.Contains(ct, wire.ContentType) {
-			s.fail(w, ep, http.StatusUnsupportedMediaType, fmt.Errorf("shard passes take %s frames, not %q", wire.ContentType, ct))
-			return
-		}
-		select {
-		case s.inflight <- struct{}{}:
-			defer func() { <-s.inflight }()
-		default:
-			s.m.rejected.Add(1)
-			s.fail(w, ep, http.StatusTooManyRequests, errors.New("server at max inflight requests"))
-			return
-		}
-		s.m.inflight.Add(1)
-		defer s.m.inflight.Add(-1)
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	return s.postHandler(ep, acceptFrame, func(w http.ResponseWriter, r *http.Request) error {
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
-			s.fail(w, ep, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
-			return
+			return badRequest("reading request: %w", err)
 		}
 		req, err := decode(body)
 		if err != nil {
-			s.fail(w, ep, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-			return
+			return badRequest("decoding request: %w", err)
 		}
 		resp, err := handle(r, req)
 		if err != nil {
-			status := http.StatusInternalServerError
-			var he *httpError
-			if errors.As(err, &he) {
-				status = he.status
-			}
-			s.fail(w, ep, status, err)
-			return
+			return err
 		}
 		bp := encBufPool.Get().(*[]byte)
 		buf := appendResp((*bp)[:0], resp)
@@ -218,5 +189,14 @@ func passHandler[Req any, Resp any](s *Server, ep endpoint,
 		w.Write(buf)
 		*bp = buf[:0]
 		encBufPool.Put(bp)
+		return nil
 	})
+}
+
+// acceptFrame admits only binary shard frames (415 otherwise).
+func acceptFrame(r *http.Request) error {
+	if ct := r.Header.Get("Content-Type"); !strings.Contains(ct, wire.ContentType) {
+		return &httpError{status: http.StatusUnsupportedMediaType, err: fmt.Errorf("shard passes take %s frames, not %q", wire.ContentType, ct)}
+	}
+	return nil
 }

@@ -115,8 +115,7 @@ func (g *Graph) NewChip() *Chip {
 	}
 }
 
-// NormSource yields standard-normal deviates. *rand.Rand satisfies it; the
-// Monte Carlo engine also passes sign-flipped (antithetic) sources.
+// NormSource yields standard-normal deviates. *rand.Rand satisfies it.
 type NormSource interface {
 	NormFloat64() float64
 }

@@ -12,8 +12,7 @@ import (
 // the first time every queried threshold is known to the requested
 // half-width at the requested confidence. Peeking after every wave is kept
 // honest by the α-spending schedule in internal/stat. Two variance
-// reductions sharpen the estimates beyond the engine's antithetic pairing:
-// the wave sampler stratifies the first global variation component, and
+// reductions sharpen the estimates: the wave sampler stratifies the first global variation component, and
 // cheap zero-only waves (step-1 search only, no rescue solver) extend the
 // step-1 tallies, which act as a control variate for step-2 (tuned) yield.
 //
@@ -23,8 +22,8 @@ import (
 // identical whether waves run in-process or are sharded across workers.
 
 // Default adaptive parameters. DefaultWave0 is a multiple of
-// 2·DefaultStrata so default waves keep antithetic pairs whole and cover
-// every stratum evenly.
+// 2·DefaultStrata, the wave alignment, so default waves cover every
+// stratum evenly.
 const (
 	// DefaultWave0 is the first wave's sample count.
 	DefaultWave0 = 256
@@ -119,15 +118,15 @@ type AdaptiveReport struct {
 //	}
 //
 // The machine never realizes chips itself: Drive runs it against a wave
-// backend — in-process (Local) or sharded across workers
-// (serve.Coordinator) — so both backends follow the identical schedule.
+// backend — in-process (Local) or sharded across workers (the bufinsd
+// coordinator) — so both backends follow the identical schedule.
 type Adaptive struct {
 	// Prec is the normalized request (defaults filled, Strata possibly
 	// cleared when the sample cap cannot balance the bands).
 	Prec Precision
 
 	n      int // sample cap (the fixed-n budget adaptive must beat)
-	align  int // wave sizes are multiples of this (pairing + strata cycle)
+	align  int // wave sizes are multiples of this (2·Strata, or 2 unstratified)
 	sweeps []*SweepEvaluator
 
 	cursor   int // samples consumed: next wave starts here
@@ -149,9 +148,9 @@ type Adaptive struct {
 // NewAdaptive prepares an adaptive evaluation of the sweeps, capped at n
 // samples (the nominal fixed-n budget; the rule stops earlier whenever the
 // requested precision is met). Wave sizes are floored to multiples of the
-// stratification cycle (2·Strata, covering every band evenly and keeping
-// antithetic pairs whole), so up to one cycle of the cap may go unused;
-// when n cannot fit even one cycle, stratification is disabled instead.
+// alignment cycle (2·Strata, covering every band evenly), so up to one
+// cycle of the cap may go unused; when n cannot fit even one cycle,
+// stratification is disabled instead.
 func NewAdaptive(prec Precision, n int, sweeps ...*SweepEvaluator) (*Adaptive, error) {
 	p, err := prec.norm()
 	if err != nil {

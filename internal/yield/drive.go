@@ -11,8 +11,8 @@ import (
 // This file is the one yield-evaluation loop. Every front door — the
 // /v1/yield handler, the CLIs, the Table I rows — answers a sweep batch by
 // handing Drive a wave-tally function: the in-process backend (Local) or
-// the sharded one (serve.Coordinator), which tiles each wave over a worker
-// pool and merges the partials. The backend only realizes and tallies
+// the sharded one (internal/serve's coordinator), which tiles each wave
+// over a worker pool and merges the partials. The backend only realizes and tallies
 // chips; what to realize, how to check it, and how to fold it into
 // reports is decided here, once.
 

@@ -176,6 +176,20 @@ if [ "$stage" = "all" ] || [ "$stage" = "verify" ]; then
     start_daemon coordinator -workers "$w1,$w2" -shards 6
     "$smokedir/bufinsd" -check "$daemon_url" -expect-shards -expect-waves
 
+    echo "== sharded CLI smoke (yieldeval local vs -server coordinator) =="
+    # The coordinator daemon is the CLIs' one sharded front door: a
+    # yieldeval sweep through it must print exactly what the in-process
+    # run prints, fixed-n and adaptive (-eps) alike.
+    go build -o "$smokedir/yieldeval" ./cmd/yieldeval
+    for args in "-eval 800" "-eps 0.05 -eval 4000"; do
+        # shellcheck disable=SC2086
+        "$smokedir/yieldeval" -preset s9234 -samples 200 -periods 3 $args >"$smokedir/yieldeval-local.out"
+        # shellcheck disable=SC2086
+        "$smokedir/yieldeval" -preset s9234 -samples 200 -periods 3 $args -server "$daemon_url" >"$smokedir/yieldeval-server.out"
+        diff "$smokedir/yieldeval-local.out" "$smokedir/yieldeval-server.out" ||
+            { echo "yieldeval $args: -server output differs from local" >&2; exit 1; }
+    done
+
     cleanup_smoke
     trap - EXIT
 
